@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 from .errors import VerificationFailed
 from .oracle import DEFAULT_ENUM_CAP, Element, GroupOracle
-from .powertools import ExponentData, extract_involution, power
+from .powertools import ExponentData, odd_root, squaring_chain
 from .sampler import ReplacementCell, draw
-from .subgroups import centralizer, closure, require_involution
+from .subgroups import centralizer, closure, conjugation_classes, is_involution, require_involution
 
 SAMPLE_COUNT_DEFAULT = 20
 
@@ -34,7 +34,6 @@ class ZetaOutcome:
 
     branch: str  # "odd" | "even"
     value: Element
-    witness_order_parity: str
 
 
 def zeta(
@@ -47,19 +46,18 @@ def zeta(
     exp = exp or oracle.exponent_data
     require_involution(oracle, i, "zeta base point")
     z = oracle.mul(i, oracle.conjugate(i, x))
-    zr = power(oracle, z, exp.r)
-    if oracle.is_identity(zr):
-        y = power(oracle, z, (exp.r + 1) // 2)
+    y, y2 = odd_root(oracle, z, exp)
+    if y2 == z:
         value = oracle.mul(y, oracle.inv(x))
         branch = "odd"
     else:
-        value = extract_involution(oracle, z, exp)
+        value = squaring_chain(oracle, oracle.mul(y2, oracle.inv(z)), exp)
         branch = "even"
     if not oracle.commutes(value, i):
         raise VerificationFailed(
             "zeta value does not centralize the involution: oracle or exponent bound is wrong"
         )
-    return ZetaOutcome(branch, value, branch)
+    return ZetaOutcome(branch, value)
 
 
 def centralizer_sample(
@@ -123,12 +121,11 @@ def zeta_distribution_audit(
     constant on each C_G(i)-conjugacy class of involutions in C_G(i) (forced
     by the right equivariance).
     """
-    exp = exp or oracle.exponent_data
     elems = oracle.enumerate(cap)
     cent = centralizer(oracle, i, cap)
     cent_payloads = {c.payload for c in cent}
     zeta1_counts = {c: 0 for c in cent}
-    cent_invs = [c for c in cent if not oracle.is_identity(c) and oracle.is_identity(oracle.mul(c, c))]
+    cent_invs = [c for c in cent if is_involution(oracle, c)]
     zeta0_counts = {c: 0 for c in cent_invs}
     odd = even = 0
     for x in elems:
@@ -141,15 +138,7 @@ def zeta_distribution_audit(
         else:
             even += 1
             zeta0_counts[out.value] += 1
-    # C-conjugacy classes of the involutions inside the centralizer
-    rest = {a.payload for a in cent_invs}
-    classes: list[list[Element]] = []
-    while rest:
-        rep = Element(oracle.backend_id, min(rest))
-        cls_payloads = {oracle.conjugate(rep, c).payload for c in cent}
-        classes.append([Element(oracle.backend_id, p) for p in sorted(cls_payloads)])
-        rest -= cls_payloads
-    classes.sort(key=lambda cls: cls[0].payload)
+    classes = conjugation_classes(oracle, cent_invs, cent)
     zeta1_constant = len(set(zeta1_counts.values())) == 1
     zeta0_class_constant = all(
         len({zeta0_counts[a] for a in cls}) == 1 for cls in classes

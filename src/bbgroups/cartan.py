@@ -32,7 +32,7 @@ from .errors import (
     WrongComponent,
 )
 from .oracle import DEFAULT_ENUM_CAP, Element, GroupOracle
-from .powertools import ExponentData, has_odd_order, sqrt_odd
+from .powertools import ExponentData, odd_root
 from .subgroups import conjugacy_class, require_involution, sylow2
 
 SQRT_TOL = 1e-12
@@ -77,14 +77,14 @@ def isolated_zeta(
     exp: ExponentData | None = None,
 ) -> Element:
     """x * sqrt(x^-1 * x^t), an element of C_X(t); total when t is strongly isolated."""
-    exp = exp or oracle.exponent_data
     require_involution(oracle, t, "base involution")
     w = oracle.mul(oracle.inv(x), oracle.conjugate(x, t))
-    if not has_odd_order(oracle, w, exp):
+    y, y2 = odd_root(oracle, w, exp)
+    if y2 != w:
         raise EvenOrderInput(
             "x^-1 * x^t has even order: t is not strongly isolated"
         )
-    value = oracle.mul(x, sqrt_odd(oracle, w, exp))
+    value = oracle.mul(x, y)
     if not oracle.commutes(value, t):
         raise VerificationFailed("isolated zeta value does not centralize t")
     return value

@@ -8,6 +8,7 @@ multiplication count so complexity claims can be checked from the shell.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -16,7 +17,7 @@ import numpy as np
 from .bray import centralizer_closure_check, centralizer_sample, zeta_distribution_audit
 from .cartan import connectedness_path, polar_decompose
 from .errors import GroupError
-from .oracle import DEFAULT_ENUM_CAP, GroupOracle, load_group_spec
+from .oracle import DEFAULT_ENUM_CAP, Element, GroupOracle, load_group_spec
 from .powertools import element_order, extract_involution
 from .sampler import DEFAULT_BURN_IN, DEFAULT_CELL_SIZE, seed_cell
 from .tricks import burnside_audit, conjugate_by_sqrt, double_conjugation
@@ -41,41 +42,47 @@ def _load(args: argparse.Namespace) -> GroupOracle:
     return load_group_spec(args.input, args.cap)
 
 
+def _report(oracle: GroupOracle, result: object | None = None, **extra) -> dict:
+    """The fields of a result dataclass, then extra keys, then the oracle's
+    running mult_count, with every element in the backend's notation."""
+    fields = dataclasses.fields(result) if result is not None else ()
+    report = {f.name: getattr(result, f.name) for f in fields}
+    report.update(extra)
+    report["mult_count"] = oracle.mult_counter.total
+    return _notation(oracle, report)
+
+
+def _notation(oracle: GroupOracle, value):
+    """value with every Element, dict key included, written by element_str."""
+    if isinstance(value, Element):
+        return oracle.element_str(value)
+    if isinstance(value, dict):
+        return {_notation(oracle, k): _notation(oracle, v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_notation(oracle, v) for v in value]
+    return value
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> dict:
     oracle = _load(args)
     elems = oracle.enumerate(args.cap)
-    report = {
-        "backend": oracle.backend_id,
-        "order": len(elems),
-        "exponent_bound": oracle.exponent_bound,
-    }
-    if args.elements:
-        report["elements"] = [oracle.element_str(a) for a in elems]
-    report["mult_count"] = oracle.mult_counter.total
-    return report
+    extra = {"elements": elems} if args.elements else {}
+    return _report(
+        oracle, backend=oracle.backend_id, order=len(elems), exponent_bound=oracle.exponent_bound, **extra
+    )
 
 
 def _cmd_order(args: argparse.Namespace) -> dict:
     oracle = _load(args)
     x = oracle.parse_element(args.element)
     order = element_order(oracle, x, args.cap)
-    return {
-        "element": oracle.element_str(x),
-        "order": order,
-        "odd": order % 2 == 1,
-        "mult_count": oracle.mult_counter.total,
-    }
+    return _report(oracle, element=x, order=order, odd=order % 2 == 1)
 
 
 def _cmd_involution(args: argparse.Namespace) -> dict:
     oracle = _load(args)
     x = oracle.parse_element(args.element)
-    inv = extract_involution(oracle, x)
-    return {
-        "element": oracle.element_str(x),
-        "involution": oracle.element_str(inv),
-        "mult_count": oracle.mult_counter.total,
-    }
+    return _report(oracle, element=x, involution=extract_involution(oracle, x))
 
 
 def _cmd_centralizer(args: argparse.Namespace) -> dict:
@@ -84,39 +91,13 @@ def _cmd_centralizer(args: argparse.Namespace) -> dict:
     cell = seed_cell(oracle, args.cell_size, args.burn_in, args.seed)
     samples = centralizer_sample(oracle, i, cell, args.samples)
     closure = centralizer_closure_check(oracle, i, samples, args.cap)
-    return {
-        "involution": oracle.element_str(i),
-        "samples": [oracle.element_str(a) for a in samples],
-        "generated_order": closure.generated_order,
-        "true_order": closure.true_order,
-        "equal": closure.equal,
-        "mult_count": oracle.mult_counter.total,
-    }
+    return _report(oracle, closure, involution=i, samples=samples)
 
 
 def _cmd_zeta_audit(args: argparse.Namespace) -> dict:
     oracle = _load(args)
     i = oracle.parse_element(args.involution)
-    report = zeta_distribution_audit(oracle, i, cap=args.cap)
-    return {
-        "involution": oracle.element_str(i),
-        "group_order": report.group_order,
-        "centralizer_order": report.centralizer_order,
-        "odd_domain_size": report.odd_domain_size,
-        "even_domain_size": report.even_domain_size,
-        "zeta1_counts": {
-            oracle.element_str(a): c for a, c in sorted(report.zeta1_counts.items())
-        },
-        "zeta1_constant": report.zeta1_constant,
-        "zeta0_counts": {
-            oracle.element_str(a): c for a, c in sorted(report.zeta0_counts.items())
-        },
-        "zeta0_class_constant": report.zeta0_class_constant,
-        "involution_classes": [
-            [oracle.element_str(a) for a in cls] for cls in report.involution_classes
-        ],
-        "mult_count": oracle.mult_counter.total,
-    }
+    return _report(oracle, zeta_distribution_audit(oracle, i, cap=args.cap))
 
 
 def _cmd_tricks(args: argparse.Namespace) -> dict:
@@ -125,53 +106,17 @@ def _cmd_tricks(args: argparse.Namespace) -> dict:
         i = oracle.parse_element(args.i)
         j = oracle.parse_element(args.j)
         y = conjugate_by_sqrt(oracle, i, j)
-        return {
-            "op": "sqrt",
-            "i": oracle.element_str(i),
-            "j": oracle.element_str(j),
-            "conjugator": oracle.element_str(y),
-            "verified": True,
-            "mult_count": oracle.mult_counter.total,
-        }
+        return _report(oracle, op="sqrt", i=i, j=j, conjugator=y, verified=True)
     t = oracle.parse_element(args.t)
     r = oracle.parse_element(args.r)
     s = oracle.parse_element(args.s)
     b = double_conjugation(oracle, t, r, s)
-    return {
-        "op": "double",
-        "t": oracle.element_str(t),
-        "r": oracle.element_str(r),
-        "s": oracle.element_str(s),
-        "conjugator": oracle.element_str(b),
-        "verified": True,
-        "mult_count": oracle.mult_counter.total,
-    }
+    return _report(oracle, op="double", t=t, r=r, s=s, conjugator=b, verified=True)
 
 
 def _cmd_burnside(args: argparse.Namespace) -> dict:
     oracle = _load(args)
-    report = burnside_audit(oracle, args.n_hint, args.cap)
-    out = {
-        "group_order": report.group_order,
-        "hypothesis_holds": report.hypothesis_holds,
-        "branch": report.branch,
-        "involution_count": report.involution_count,
-        "involution_class_count": report.involution_class_count,
-        "centralizer_elementary_abelian": report.centralizer_elementary_abelian,
-        "centralizer_orders": report.centralizer_orders,
-        "n": report.n,
-        "sylow_order": report.sylow_order,
-        "sylow_normal": report.sylow_normal,
-        "n_hint_mismatch": report.n_hint_mismatch,
-        "sylow_ti": report.sylow_ti,
-        "fusion_controlled": report.fusion_controlled,
-        "normalizer_order": report.normalizer_order,
-        "mu": report.mu,
-        "order_formula_holds": report.order_formula_holds,
-        "three_transitive": report.three_transitive,
-        "mult_count": oracle.mult_counter.total,
-    }
-    return out
+    return _report(oracle, burnside_audit(oracle, args.n_hint, args.cap))
 
 
 def _matrix_to_lists(m: np.ndarray) -> list[list[float]]:

@@ -33,6 +33,10 @@ from .errors import (
 from .gf import FieldSpec
 
 DEFAULT_ENUM_CAP = 50_000
+# Largest permutation degree or matrix dimension an oracle accepts, checked
+# before anything is allocated; 2^16 + 1 is the moebius action over the
+# largest field gf builds.
+MAX_DEGREE = 65_537
 
 
 class Element(NamedTuple):
@@ -138,23 +142,10 @@ class GroupOracle:
     def enumerate(self, cap: int = DEFAULT_ENUM_CAP) -> list[Element]:
         """Full element list by closure under the generators, sorted by payload."""
         if self._elements is None:
-            seen = {self._identity.payload}
-            frontier = [self._identity]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for g in self.generators:
-                        b = self.mul(a, g)
-                        if b.payload not in seen:
-                            if len(seen) >= cap:
-                                raise EnumerationCapExceeded(
-                                    f"closure of {self.backend_id!r} exceeds cap {cap}"
-                                )
-                            seen.add(b.payload)
-                            nxt.append(b)
-                frontier = nxt
-            self._elements = [Element(self.backend_id, p) for p in sorted(seen)]
-            self._payload_set = frozenset(seen)
+            from .subgroups import closure
+
+            self._elements = closure(self, self.generators, cap)
+            self._payload_set = frozenset(a.payload for a in self._elements)
         if len(self._elements) > cap:
             raise EnumerationCapExceeded(
                 f"group order {len(self._elements)} exceeds cap {cap}"
@@ -184,41 +175,24 @@ class GroupOracle:
 
     # --- construction-time checks --------------------------------------------
 
-    def _pow_payload(self, a: Element, k: int) -> Element:
-        """Private square-and-multiply; counts muls like everything else."""
-        result = self._identity
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return result
-
-    def _brute_order(self, x: Element, cap: int) -> int:
-        y, n = x, 1
-        while y != self._identity:
-            y = self.mul(y, x)
-            n += 1
-            if n > cap:
-                raise EnumerationCapExceeded(f"element order exceeds cap {cap}")
-        return n
-
     def _exact_exponent(self, cap: int) -> int:
+        from .powertools import element_order
+
         exp = 1
         for x in self.enumerate(cap):
-            exp = math.lcm(exp, self._brute_order(x, cap))
+            exp = math.lcm(exp, element_order(self, x, cap))
         return exp
 
     def _validate_contract(self) -> None:
+        from .powertools import power
+
         e = self._identity
         for g in self.generators:
             if self.mul(e, g) != g or self.mul(g, e) != g:
                 raise VerificationFailed("identity is not a two-sided unit")
             if self.mul(self.inv(g), g) != e:
                 raise VerificationFailed("inverse law fails on a generator")
-            if self._pow_payload(g, self.exponent_bound) != e:
+            if power(self, g, self.exponent_bound) != e:
                 raise InvalidBackendSpec(
                     f"exponent bound {self.exponent_bound} violated by a generator"
                 )
@@ -252,7 +226,10 @@ def parse_cycles(text: str) -> list[list[int]]:
         consumed = m.end()
         body = m.group(1).strip()
         if body:
-            cycles.append([int(tok) for tok in re.split(r"[,\s]+", body)])
+            try:
+                cycles.append([int(tok) for tok in re.split(r"[,\s]+", body)])
+            except ValueError as e:
+                raise InvalidBackendSpec(f"could not parse permutation {text!r}") from e
     if stripped[consumed:].strip():
         raise InvalidBackendSpec(f"could not parse permutation {text!r}")
     return cycles
@@ -260,9 +237,12 @@ def parse_cycles(text: str) -> list[list[int]]:
 
 def cycles_to_images(degree: int, cycles: Iterable[Iterable[int]]) -> tuple[int, ...]:
     """Compose cycles (1-based points, applied left to right) into an image tuple."""
+    try:
+        point_lists = [[int(x) for x in cyc] for cyc in cycles]
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InvalidBackendSpec(f"cycles must be lists of integer points, got {cycles!r}") from e
     images = list(range(degree))
-    for cyc in cycles:
-        pts = [int(x) for x in cyc]
+    for pts in point_lists:
         if len(set(pts)) != len(pts):
             raise InvalidBackendSpec(f"repeated point in cycle {pts}")
         for x in pts:
@@ -309,8 +289,8 @@ class PermOracle(GroupOracle):
         exponent: int | None = None,
         enum_cap: int = DEFAULT_ENUM_CAP,
     ):
-        if degree < 1:
-            raise InvalidBackendSpec("degree must be >= 1")
+        if not 1 <= degree <= MAX_DEGREE:
+            raise InvalidBackendSpec(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
         self.degree = degree
         payloads = [cycles_to_images(degree, cycs) for cycs in generators]
         super().__init__(
@@ -370,8 +350,8 @@ class MatrixOracle(GroupOracle):
         exponent: int | None = None,
         enum_cap: int = DEFAULT_ENUM_CAP,
     ):
-        if dim < 1:
-            raise InvalidBackendSpec("dimension must be >= 1")
+        if not 1 <= dim <= MAX_DEGREE:
+            raise InvalidBackendSpec(f"dimension must be in 1..{MAX_DEGREE}, got {dim}")
         self.field = field
         self.dim = dim
         payloads = [self._coerce_matrix(m) for m in generators]
@@ -379,24 +359,26 @@ class MatrixOracle(GroupOracle):
             1 if i == j else 0 for i in range(dim) for j in range(dim)
         )
         for p in payloads:
-            if self._det(p) == 0:
-                raise InvalidBackendSpec("generator determinant is zero")
+            self._inv_payload(p)  # raises InvalidBackendSpec on a singular generator
         super().__init__(
             f"matrix:{field.label}:{dim}", ident, payloads, exponent, enum_cap
         )
 
     def _coerce_matrix(self, m) -> tuple:
         d, q = self.dim, self.field.q
-        rows = list(m)
-        if len(rows) == d * d and all(isinstance(x, int) for x in rows):
-            flat = rows
-        else:
-            if len(rows) != d:
-                raise InvalidBackendSpec(f"expected {d}x{d} matrix, got {m!r}")
-            flat = [x for row in rows for x in row]
-            if len(flat) != d * d:
-                raise InvalidBackendSpec(f"expected {d}x{d} matrix, got {m!r}")
-        flat = [int(x) for x in flat]
+        try:
+            rows = list(m)
+            if len(rows) == d * d and all(isinstance(x, int) for x in rows):
+                flat = rows
+            else:
+                if len(rows) != d:
+                    raise InvalidBackendSpec(f"expected {d}x{d} matrix, got {m!r}")
+                flat = [x for row in rows for x in row]
+                if len(flat) != d * d:
+                    raise InvalidBackendSpec(f"expected {d}x{d} matrix, got {m!r}")
+            flat = [int(x) for x in flat]
+        except (TypeError, ValueError, OverflowError) as e:
+            raise InvalidBackendSpec(f"expected {d}x{d} matrix of integers, got {m!r}") from e
         for x in flat:
             if not 0 <= x < q:
                 raise InvalidBackendSpec(f"entry {x} outside field of order {q}")
@@ -434,25 +416,6 @@ class MatrixOracle(GroupOracle):
                     a[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(a[r], a[col])]
                     b[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(b[r], b[col])]
         return tuple(x for row in b for x in row)
-
-    def _det(self, pa: tuple) -> int:
-        F, d = self.field, self.dim
-        a = [list(pa[i * d : (i + 1) * d]) for i in range(d)]
-        det = 1
-        for col in range(d):
-            piv = next((r for r in range(col, d) if a[r][col] != 0), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = F.neg(det)
-            det = F.mul(det, a[col][col])
-            s = F.inv(a[col][col])
-            for r in range(col + 1, d):
-                if a[r][col] != 0:
-                    f = F.mul(a[r][col], s)
-                    a[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(a[r], a[col])]
-        return det
 
     def rows(self, a: Element) -> list[list[int]]:
         d = self.dim
@@ -529,11 +492,11 @@ def build_backend(spec: dict, enum_cap: int = DEFAULT_ENUM_CAP) -> GroupOracle:
         raise InvalidBackendSpec("group specification must be a JSON object")
     kind = spec.get("backend")
     exponent = spec.get("exponent")
-    if exponent is not None and (not isinstance(exponent, int) or exponent < 1):
+    if exponent is not None and (not _is_int(exponent) or exponent < 1):
         raise InvalidBackendSpec(f"exponent must be a positive integer, got {exponent!r}")
     if kind == "perm":
         degree = spec.get("degree")
-        if not isinstance(degree, int):
+        if not _is_int(degree):
             raise InvalidBackendSpec("perm backend needs an integer 'degree'")
         gens = spec.get("generators")
         if not isinstance(gens, list):
@@ -541,23 +504,40 @@ def build_backend(spec: dict, enum_cap: int = DEFAULT_ENUM_CAP) -> GroupOracle:
         return PermOracle(degree, gens, exponent, enum_cap)
     if kind == "matrix":
         dim = spec.get("dim")
-        if not isinstance(dim, int):
+        if not _is_int(dim):
             raise InvalidBackendSpec("matrix backend needs an integer 'dim'")
         fld = spec.get("field")
         if not isinstance(fld, dict) or "p" not in fld:
             raise InvalidBackendSpec("matrix backend needs a 'field' object with p (and k, poly)")
-        field = FieldSpec(fld["p"], fld.get("k", 1), fld.get("poly"))
+        if not (_is_int(fld["p"]) and _is_int(fld.get("k", 1))):
+            raise InvalidBackendSpec("matrix backend needs integer field p and k")
+        field = FieldSpec(fld["p"], fld.get("k", 1), _field_poly(fld))
         gens = spec.get("generators")
         if not isinstance(gens, list):
             raise InvalidBackendSpec("matrix backend needs a 'generators' array of matrices")
         return MatrixOracle(field, dim, gens, exponent, enum_cap)
     if kind == "moebius":
         n = spec.get("n")
-        if not isinstance(n, int):
+        if not _is_int(n):
             raise InvalidBackendSpec("moebius backend needs an integer 'n'")
         fld = spec.get("field") or {}
-        return moebius_oracle(n, fld.get("poly"), exponent, enum_cap)
+        if not isinstance(fld, dict):
+            raise InvalidBackendSpec("moebius 'field' must be an object with poly")
+        return moebius_oracle(n, _field_poly(fld), exponent, enum_cap)
     raise InvalidBackendSpec(f"unknown backend {kind!r}")
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass in Python, but not a number here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field_poly(fld: dict) -> list[int] | None:
+    """The field object's optional poly, checked to be a list of integers."""
+    poly = fld.get("poly")
+    if poly is not None and not (isinstance(poly, list) and all(_is_int(c) for c in poly)):
+        raise InvalidBackendSpec(f"field poly must be a list of integers, got {poly!r}")
+    return poly
 
 
 def load_group_spec(path: str, enum_cap: int = DEFAULT_ENUM_CAP) -> GroupOracle:

@@ -1,8 +1,9 @@
 """Exponent arithmetic and the square-root / involution primitives.
 
 Everything below is phrased against the multiplication oracle alone; the
-actual order of an element is never needed.  element_order exists purely as
-brute-force ground truth for tests and reports.
+actual order of an element is never needed.  element_order is brute force:
+ground truth for tests and reports, and the exact exponent of an oracle
+built without a supplied bound.
 """
 
 from __future__ import annotations
@@ -49,28 +50,44 @@ def power(oracle: GroupOracle, x: Element, k: int) -> Element:
     return result
 
 
+def odd_root(oracle: GroupOracle, x: Element, exp: ExponentData | None = None) -> tuple[Element, Element]:
+    """(y, y*y) with y = x**((r+1)/2), in at most 2*floor(log2((r+1)/2)) + 1 muls.
+
+    y*y == x**(r+1) for any r, so x has odd order exactly when y*y == x, and
+    then y is the square root of x inside <x>.  Otherwise y*y * x^-1 == x**r,
+    the start of the squaring chain to the involution of <x>.
+    """
+    exp = exp or oracle.exponent_data
+    y = power(oracle, x, (exp.r + 1) // 2)
+    return y, oracle.mul(y, y)
+
+
 def has_odd_order(oracle: GroupOracle, x: Element, exp: ExponentData | None = None) -> bool:
     """True iff x**r == identity, which holds iff the order of x is odd."""
-    exp = exp or oracle.exponent_data
-    return oracle.is_identity(power(oracle, x, exp.r))
+    return odd_root(oracle, x, exp)[1] == x
 
 
 def sqrt_odd(oracle: GroupOracle, x: Element, exp: ExponentData | None = None) -> Element:
     """Square root x**((r+1)/2) of an odd-order element; validates the order."""
-    exp = exp or oracle.exponent_data
-    if not oracle.is_identity(power(oracle, x, exp.r)):
+    y, y2 = odd_root(oracle, x, exp)
+    if y2 != x:
         raise EvenOrderInput("square root requires an element of odd order")
-    return power(oracle, x, (exp.r + 1) // 2)
+    return y
 
 
 def extract_involution(oracle: GroupOracle, x: Element, exp: ExponentData | None = None) -> Element:
-    """The unique involution in <x> for even-order x, by squaring x**r.
-
-    The squaring chain is capped at t steps; running past the cap means the
-    exponent bound does not actually hold for this element.
-    """
+    """The unique involution in <x> for even-order x, by squaring x**r."""
     exp = exp or oracle.exponent_data
-    y = power(oracle, x, exp.r)
+    return squaring_chain(oracle, power(oracle, x, exp.r), exp)
+
+
+def squaring_chain(oracle: GroupOracle, y: Element, exp: ExponentData) -> Element:
+    """The last non-identity term of y, y^2, y^4, ... for y = x**r.
+
+    y == identity means x has odd order.  The chain is capped at t steps;
+    running past the cap means the exponent bound does not actually hold
+    for this element.
+    """
     if oracle.is_identity(y):
         raise OddOrderInput("no involution in <x>: element has odd order")
     for _ in range(exp.t):
@@ -86,8 +103,9 @@ def extract_involution(oracle: GroupOracle, x: Element, exp: ExponentData | None
 def element_order(oracle: GroupOracle, x: Element, cap: int | None = None) -> int:
     """Least n >= 1 with x**n == identity, by iterated multiplication.
 
-    Ground truth for tests; the main algorithms never call this.  The cap
-    defaults to the oracle's exponent bound, which the order divides.
+    Ground truth for tests and for GroupOracle's exact exponent; the main
+    algorithms never call this.  The cap defaults to the oracle's exponent
+    bound, which the order divides; pass it while that bound is unset.
     """
     cap = cap if cap is not None else oracle.exponent_bound
     y, n = x, 1

@@ -30,9 +30,6 @@ class ReplacementCell:
     rng: random.Random
     steps_taken: int = 0
 
-    def draw(self) -> Element:
-        return draw(self)
-
 
 def seed_cell(
     oracle: GroupOracle,

@@ -71,14 +71,25 @@ def involution_classes(
     oracle: GroupOracle, cap: int = DEFAULT_ENUM_CAP
 ) -> list[list[Element]]:
     """Conjugacy classes of involutions, each sorted, ordered by least member."""
-    rest = {a.payload for a in involutions(oracle, cap)}
+    return conjugation_classes(oracle, involutions(oracle, cap), oracle.enumerate(cap))
+
+
+def conjugation_classes(
+    oracle: GroupOracle, members: Sequence[Element], by: Sequence[Element]
+) -> list[list[Element]]:
+    """Split members into classes under conjugation by the elements of by.
+
+    by must be a group and members closed under conjugation by it, so each
+    representative, the least member left, is the least of its class: each
+    class is sorted, and the classes come out ordered by least member.
+    """
+    rest = {a.payload for a in members}
     classes = []
     while rest:
         rep = Element(oracle.backend_id, min(rest))
-        cls = conjugacy_class(oracle, rep, cap)
-        classes.append(cls)
-        rest -= {a.payload for a in cls}
-    classes.sort(key=lambda cls: cls[0].payload)
+        cls = {oracle.conjugate(rep, g).payload for g in by}
+        classes.append([Element(oracle.backend_id, p) for p in sorted(cls)])
+        rest -= cls
     return classes
 
 

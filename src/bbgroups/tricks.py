@@ -21,12 +21,13 @@ from .errors import (
     VerificationFailed,
 )
 from .oracle import DEFAULT_ENUM_CAP, Element, GroupOracle
-from .powertools import ExponentData, has_odd_order, sqrt_odd
+from .powertools import ExponentData, odd_root
 from .subgroups import (
     all_sylow2,
     centralizer,
     closure,
     conjugacy_class,
+    conjugation_classes,
     coset_action_images,
     involution_classes,
     involutions,
@@ -49,16 +50,15 @@ def conjugate_by_sqrt(
     When o(ij) is even the involutions are not conjugate this way; they both
     centralize the involution of <ij> instead, and an error is raised.
     """
-    exp = exp or oracle.exponent_data
     require_involution(oracle, i, "first involution")
     if i != j:
         require_involution(oracle, j, "second involution")
     z = oracle.mul(i, j)
-    if not has_odd_order(oracle, z, exp):
+    y, y2 = odd_root(oracle, z, exp)
+    if y2 != z:
         raise EvenOrderInput(
             "even-order dihedral case: i and j centralize i(ij) instead"
         )
-    y = sqrt_odd(oracle, z, exp)
     if oracle.conjugate(i, y) != j:
         raise VerificationFailed("i^sqrt(ij) != j: oracle or exponent bound is wrong")
     return y
@@ -72,16 +72,17 @@ def double_conjugation(
     exp: ExponentData | None = None,
 ) -> Element:
     """b = sqrt(t*r) * sqrt(r*s) with t^b == s, for odd o(tr) and o(rs)."""
-    exp = exp or oracle.exponent_data
     for name, a in (("t", t), ("r", r), ("s", s)):
         require_involution(oracle, a, name)
     tr = oracle.mul(t, r)
-    rs = oracle.mul(r, s)
-    if not has_odd_order(oracle, tr, exp):
+    y_tr, y2 = odd_root(oracle, tr, exp)
+    if y2 != tr:
         raise EvenOrderInput("t*r has even order")
-    if not has_odd_order(oracle, rs, exp):
+    rs = oracle.mul(r, s)
+    y_rs, y2 = odd_root(oracle, rs, exp)
+    if y2 != rs:
         raise EvenOrderInput("r*s has even order")
-    b = oracle.mul(sqrt_odd(oracle, tr, exp), sqrt_odd(oracle, rs, exp))
+    b = oracle.mul(y_tr, y_rs)
     if oracle.conjugate(t, b) != s:
         raise VerificationFailed("t^b != s: oracle or exponent bound is wrong")
     return b
@@ -130,14 +131,11 @@ def ti_subgroup(
         if len(inter) != 1 and inter != payloads:
             raise HypothesisViolation("TI property fails: U meets a conjugate properly")
     norm = normalizer_of_set(oracle, members, cap)
-    non_id = sorted(payloads - {oracle.identity().payload})
-    if non_id:
-        rep = Element(oracle.backend_id, non_id[0])
-        orbit = {oracle.conjugate(rep, n).payload for n in norm}
-        if orbit != set(non_id):
-            raise HypothesisViolation(
-                "N_X(U) is not transitive on the non-identity members of U"
-            )
+    non_id = [a for a in members if not oracle.is_identity(a)]
+    if len(conjugation_classes(oracle, non_id, norm)) > 1:
+        raise HypothesisViolation(
+            "N_X(U) is not transitive on the non-identity members of U"
+        )
     ordered = [Element(oracle.backend_id, p) for p in sorted(payloads)]
     return TISubgroup(oracle.backend_id, tuple(ordered))
 
@@ -156,14 +154,14 @@ def normalizer_map(
     With |U| = 2 (so v = u) this degenerates to the inverse of the odd
     branch of the centralizer zeta map.
     """
-    exp = exp or oracle.exponent_data
     for name, a in (("v", v), ("u", u)):
         if a not in subgroup.non_identity:
             raise NotAnInvolution(f"{name} must be a non-identity member of U")
     w = oracle.mul(oracle.conjugate(u, x), v)
-    if not has_odd_order(oracle, w, exp):
+    y, y2 = odd_root(oracle, w, exp)
+    if y2 != w:
         return None
-    return oracle.mul(x, sqrt_odd(oracle, w, exp))
+    return oracle.mul(x, y)
 
 
 # --- Sylow-normalizer generation ---------------------------------------------------
@@ -183,7 +181,6 @@ def sylow2_normalizer_generators(
     both o(tr) and o(rs) odd supplies b = sqrt(tr)*sqrt(rs); at desk scale
     the closure of the output is the whole normalizer.
     """
-    exp = exp or oracle.exponent_data
     t_payloads = {a.payload for a in sylow_members}
     for t in sylow_members:
         if oracle.is_identity(t):
@@ -200,20 +197,20 @@ def sylow2_normalizer_generators(
     for t in non_id:
         for s in non_id:
             for r in outside:
-                if has_odd_order(oracle, oracle.mul(t, r), exp) and has_odd_order(
-                    oracle, oracle.mul(r, s), exp
-                ):
+                try:
                     b = double_conjugation(oracle, t, r, s, exp)
-                    if {
-                        oracle.conjugate(a, b).payload for a in sylow_members
-                    } != t_payloads:
-                        raise VerificationFailed(
-                            "double-conjugation element does not normalize T"
-                        )
-                    if b.payload not in seen:
-                        seen.add(b.payload)
-                        out.append(b)
-                    break
+                except EvenOrderInput:
+                    continue
+                if {
+                    oracle.conjugate(a, b).payload for a in sylow_members
+                } != t_payloads:
+                    raise VerificationFailed(
+                        "double-conjugation element does not normalize T"
+                    )
+                if b.payload not in seen:
+                    seen.add(b.payload)
+                    out.append(b)
+                break
     return out
 
 

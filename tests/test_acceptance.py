@@ -25,6 +25,7 @@ from bbgroups import (
     normalizer_map,
     polar_decompose,
     seed_cell,
+    sqrt_odd,
     strongly_isolated_check,
     sylow2_normalizer_generators,
     ti_subgroup,
@@ -32,6 +33,7 @@ from bbgroups import (
     zeta_distribution_audit,
     burnside_audit,
 )
+from bbgroups.errors import EvenOrderInput
 from bbgroups.subgroups import (
     centralizer,
     closure,
@@ -264,6 +266,26 @@ def test_criterion_09_multiplication_budget(groups):
                     before = oracle.mult_counter.total
                     zeta(oracle, i, x, exp)
                     assert oracle.mult_counter.total - before <= budget
+
+
+def test_per_call_budget_one_power_per_parity_test(a5, moebius3, sl2_8):
+    """Tighter than criterion 09: with L = floor(log2((r+1)/2)), sqrt_odd uses
+    at most 2L + 1 muls and zeta at most 2L + t + 8, so neither recomputes
+    a power of the same element."""
+    for oracle in (a5, moebius3, sl2_8):
+        exp = oracle.exponent_data
+        L = ((exp.r + 1) // 2).bit_length() - 1
+        i = involutions(oracle)[0]
+        for x in oracle.enumerate():
+            before = oracle.mult_counter.total
+            try:
+                sqrt_odd(oracle, x, exp)
+            except EvenOrderInput:
+                pass
+            assert oracle.mult_counter.total - before <= 2 * L + 1
+            before = oracle.mult_counter.total
+            zeta(oracle, i, x, exp)
+            assert oracle.mult_counter.total - before <= 2 * L + exp.t + 8
 
 
 def test_criterion_10_polar_cartan():

@@ -5,16 +5,16 @@ import sys
 import pytest
 
 from bbgroups.cli import dispatch
+from bbgroups.oracle import MAX_DEGREE, build_backend
+
+S4 = {"backend": "perm", "degree": 4, "generators": [[[1, 2]], [[1, 2, 3, 4]]]}
+SL2_3 = {"backend": "matrix", "dim": 2, "field": {"p": 3, "k": 1}, "generators": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]}
 
 
 @pytest.fixture()
 def s4_file(tmp_path):
     path = tmp_path / "s4.json"
-    path.write_text(
-        json.dumps(
-            {"backend": "perm", "degree": 4, "generators": [[[1, 2]], [[1, 2, 3, 4]]]}
-        )
-    )
+    path.write_text(json.dumps(S4))
     return str(path)
 
 
@@ -22,6 +22,13 @@ def s4_file(tmp_path):
 def moebius2_file(tmp_path):
     path = tmp_path / "moebius2.json"
     path.write_text(json.dumps({"backend": "moebius", "n": 2}))
+    return str(path)
+
+
+@pytest.fixture()
+def sl2_3_file(tmp_path):
+    path = tmp_path / "sl2_3.json"
+    path.write_text(json.dumps(SL2_3))
     return str(path)
 
 
@@ -253,3 +260,103 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 6
+
+
+@pytest.mark.parametrize(
+    "spec, command",
+    [
+        (dict(SL2_3, field={"p": "3"}), ["enumerate"]),
+        (dict(SL2_3, field={"p": 3, "k": "1"}), ["enumerate"]),
+        (dict(S4, generators=[[["a"]]]), ["enumerate"]),
+        ({"backend": "moebius", "n": 2, "field": {"poly": "x"}}, ["enumerate"]),
+        (dict(S4, generators=[5]), ["enumerate"]),
+        (dict(SL2_3, generators=[5]), ["enumerate"]),
+        ({"backend": "moebius", "n": 2, "field": [1]}, ["enumerate"]),
+        (S4, ["order", "--element", "(1 a)"]),
+        (SL2_3, ["order", "--element", "5"]),
+        (dict(S4, degree=True, generators=[[]]), ["enumerate"]),
+        (dict(SL2_3, dim=True, generators=[[[1]]]), ["enumerate"]),
+        ({"backend": "moebius", "n": True}, ["enumerate"]),
+        (dict(S4, degree=MAX_DEGREE + 1), ["enumerate"]),
+    ],
+)
+def test_malformed_input_is_an_error_object(capsys, tmp_path, spec, command):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, command + ["--input", str(path)])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "InvalidBackendSpec"
+
+
+GROUP_ARGS = {
+    "enumerate": ["enumerate"],
+    "enumerate --elements": ["enumerate", "--elements"],
+    "order": ["order", "--element", "(1 2 3)"],
+    "involution": ["involution", "--element", "(1 2 3 4)"],
+    "centralizer": ["centralizer", "--involution", "(1 2)(3 4)", "--seed", "3", "--samples", "4"],
+    "zeta-audit": ["zeta-audit", "--involution", "(1 2)(3 4)"],
+    "tricks sqrt": ["tricks", "--op", "sqrt", "--i", "(1 2)", "--j", "(2 3)"],
+    "tricks double": ["tricks", "--op", "double", "--t", "(1 2)", "--r", "(2 3)", "--s", "(1 3)"],
+    "burnside": ["burnside"],
+}
+ZETA_AUDIT_KEYS = {
+    "involution", "group_order", "centralizer_order", "odd_domain_size", "even_domain_size",
+    "zeta1_counts", "zeta1_constant", "zeta0_counts", "zeta0_class_constant", "involution_classes",
+}
+BURNSIDE_KEYS = {
+    "group_order", "hypothesis_holds", "branch", "involution_count", "involution_class_count",
+    "centralizer_elementary_abelian", "centralizer_orders", "n", "sylow_order", "sylow_normal",
+    "n_hint_mismatch", "sylow_ti", "fusion_controlled", "normalizer_order", "mu",
+    "order_formula_holds", "three_transitive",
+}
+# Exact key set of each report (mult_count aside) and the keys holding elements.
+REPORT_SHAPES = {
+    "enumerate": ({"backend", "order", "exponent_bound"}, set()),
+    "enumerate --elements": ({"backend", "order", "exponent_bound", "elements"}, {"elements"}),
+    "order": ({"element", "order", "odd"}, {"element"}),
+    "involution": ({"element", "involution"}, {"element", "involution"}),
+    "centralizer": (
+        {"generated_order", "true_order", "equal", "involution", "samples"},
+        {"involution", "samples"},
+    ),
+    "zeta-audit": (ZETA_AUDIT_KEYS, {"involution", "zeta1_counts", "zeta0_counts", "involution_classes"}),
+    "tricks sqrt": ({"op", "i", "j", "conjugator", "verified"}, {"i", "j", "conjugator"}),
+    "tricks double": ({"op", "t", "r", "s", "conjugator", "verified"}, {"t", "r", "s", "conjugator"}),
+    "burnside": (BURNSIDE_KEYS, set()),
+}
+
+
+def _element_texts(value):
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, dict):
+        return list(value)
+    return [text for item in value for text in _element_texts(item)]
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_ARGS))
+def test_report_shape(capsys, s4_file, name):
+    code, out, _ = run_cli(capsys, GROUP_ARGS[name] + ["--input", s4_file])
+    assert code == 0
+    report = json.loads(out)
+    keys, element_keys = REPORT_SHAPES[name]
+    assert set(report) == keys | {"mult_count"}
+    assert isinstance(report["mult_count"], int)
+    s4 = build_backend(S4)
+    for key in element_keys:
+        texts = _element_texts(report[key])
+        assert texts
+        for text in texts:
+            assert text.startswith("(") and s4.element_str(s4.parse_element(text)) == text
+
+
+def test_report_matrix_notation(capsys, sl2_3_file):
+    code, out, _ = run_cli(
+        capsys, ["zeta-audit", "--input", sl2_3_file, "--involution", "[[2, 0], [0, 2]]"]
+    )
+    assert code == 0
+    report = json.loads(out)
+    sl2_3 = build_backend(SL2_3)
+    texts = [report["involution"], *report["zeta1_counts"], *_element_texts(report["involution_classes"])]
+    for text in texts:
+        assert text.startswith("[[") and sl2_3.element_str(sl2_3.parse_element(text)) == text

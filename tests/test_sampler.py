@@ -95,9 +95,3 @@ def test_trivial_group_draws_identity():
     cell = seed_cell(triv, 10, 20, seed=0)
     for _ in range(50):
         assert draw(cell) == triv.identity()
-
-
-def test_cell_method_matches_function(s3):
-    c1 = seed_cell(s3, 10, 10, seed=9)
-    c2 = seed_cell(s3, 10, 10, seed=9)
-    assert [c1.draw() for _ in range(20)] == [draw(c2) for _ in range(20)]
