@@ -108,6 +108,9 @@ class FieldSpec:
     """GF(p^k) with table-backed arithmetic on packed integer indices."""
 
     def __init__(self, p: int, k: int = 1, poly: Sequence[int] | None = None):
+        # Before p**k or trial division: a huge p or k must cost nothing.
+        if p > MAX_FIELD_ORDER or k > MAX_FIELD_ORDER.bit_length():
+            raise InvalidField("field order exceeds the 2^16 table limit")
         if not is_prime(p):
             raise InvalidField(f"characteristic {p} is not prime")
         if k < 1:
@@ -269,9 +272,14 @@ class FieldSpec:
         self._add_table: list[list[int]] | None = None
         self._mul_table: list[list[int]] | None = None
         if q <= _FULL_TABLE_LIMIT:
-            self._mul_table = [[self._raw_mul(a, b) for b in range(q)] for a in range(q)]
+            wrap = exp + exp  # wrap[log a + log b] without the mod q - 1
+            self._mul_table = [[0] * q] + [
+                [0] + [wrap[log[a] + log[b]] for b in range(1, q)] for a in range(1, q)
+            ]
             if self.k == 1:
                 self._add_table = [[(a + b) % q for b in range(q)] for a in range(q)]
+            elif self.p == 2:
+                self._add_table = [[a ^ b for b in range(q)] for a in range(q)]
             else:
                 add_one = [
                     [

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 import re
 import threading
@@ -238,8 +239,8 @@ def parse_cycles(text: str) -> list[list[int]]:
 def cycles_to_images(degree: int, cycles: Iterable[Iterable[int]]) -> tuple[int, ...]:
     """Compose cycles (1-based points, applied left to right) into an image tuple."""
     try:
-        point_lists = [[int(x) for x in cyc] for cyc in cycles]
-    except (TypeError, ValueError, OverflowError) as e:
+        point_lists = [[_to_int(x) for x in cyc] for cyc in cycles]
+    except TypeError as e:
         raise InvalidBackendSpec(f"cycles must be lists of integer points, got {cycles!r}") from e
     images = list(range(degree))
     for pts in point_lists:
@@ -305,11 +306,16 @@ class PermOracle(GroupOracle):
         exponent: int | None = None,
         enum_cap: int = DEFAULT_ENUM_CAP,
     ) -> "PermOracle":
+        if not 1 <= degree <= MAX_DEGREE:
+            raise InvalidBackendSpec(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
         self = cls.__new__(cls)
         self.degree = degree
         payloads = []
         for img in image_tuples:
-            img = tuple(int(x) for x in img)
+            try:
+                img = tuple(_to_int(x) for x in img)
+            except TypeError as e:
+                raise InvalidBackendSpec(f"image tuples must hold integers, got {img!r}") from e
             if sorted(img) != list(range(degree)):
                 raise InvalidBackendSpec(f"not a permutation of 0..{degree - 1}: {img}")
             payloads.append(img)
@@ -319,7 +325,9 @@ class PermOracle(GroupOracle):
         return self
 
     def _mul_payload(self, pa: tuple, pb: tuple) -> tuple:
-        return tuple(pb[i] for i in pa)
+        if len(pa) < 2:  # itemgetter of one index returns a scalar, of none it raises
+            return pb
+        return operator.itemgetter(*pa)(pb)
 
     def _inv_payload(self, pa: tuple) -> tuple:
         out = [0] * len(pa)
@@ -376,8 +384,8 @@ class MatrixOracle(GroupOracle):
                 flat = [x for row in rows for x in row]
                 if len(flat) != d * d:
                     raise InvalidBackendSpec(f"expected {d}x{d} matrix, got {m!r}")
-            flat = [int(x) for x in flat]
-        except (TypeError, ValueError, OverflowError) as e:
+            flat = [_to_int(x) for x in flat]
+        except TypeError as e:
             raise InvalidBackendSpec(f"expected {d}x{d} matrix of integers, got {m!r}") from e
         for x in flat:
             if not 0 <= x < q:
@@ -530,6 +538,13 @@ def build_backend(spec: dict, enum_cap: int = DEFAULT_ENUM_CAP) -> GroupOracle:
 def _is_int(value) -> bool:
     """A JSON integer: bool is an int subclass in Python, but not a number here."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _to_int(value) -> int:
+    """An integer entry as int, never coerced: floats, strings and bool raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
 
 
 def _field_poly(fld: dict) -> list[int] | None:

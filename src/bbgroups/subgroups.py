@@ -30,22 +30,35 @@ def closure(
     elements: Iterable[Element],
     cap: int = DEFAULT_ENUM_CAP,
 ) -> list[Element]:
-    """Subgroup generated by the elements (identity included), sorted by payload."""
-    gens = list(elements)
-    seen = {oracle.identity().payload}
-    frontier = [oracle.identity()]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = oracle.mul(a, g)
-                if b.payload not in seen:
-                    if len(seen) >= cap:
-                        raise EnumerationCapExceeded(f"subgroup closure exceeds cap {cap}")
-                    seen.add(b.payload)
-                    nxt.append(b)
-        frontier = nxt
-    return [Element(oracle.backend_id, p) for p in sorted(seen)]
+    """Subgroup generated by the elements (identity included), sorted by payload.
+
+    Dimino's coset-by-coset closure: with H = <g_1..g_{i-1}>, a generator g_i
+    already in H costs nothing; otherwise <H, g_i> is the union of the right
+    cosets H*x for x reached from g_i by right multiplication with g_1..g_i.
+    The members are always a union of cosets of H, so a coset whose
+    representative is not a member is new as a whole, and is added for
+    |H| - 1 muls plus one per generator used.  Raises EnumerationCapExceeded
+    exactly when the subgroup has more than cap elements.
+    """
+    members = [oracle.identity()]
+    seen = set(members)
+    used: list[Element] = []
+    for g in elements:
+        if g in seen:
+            continue
+        used.append(g)
+        rest = members[1:]  # H without the identity, whose product with x is x
+        reps = [g]
+        for x in reps:
+            if x in seen:
+                continue
+            if len(seen) + len(rest) + 1 > cap:
+                raise EnumerationCapExceeded(f"subgroup closure exceeds cap {cap}")
+            coset = [x] + [oracle.mul(h, x) for h in rest]
+            members.extend(coset)
+            seen.update(coset)
+            reps.extend(oracle.mul(x, s) for s in used)
+    return sorted(seen)
 
 
 def centralizer(

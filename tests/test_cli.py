@@ -278,6 +278,10 @@ def test_console_entry_point(tmp_path):
         (dict(SL2_3, dim=True, generators=[[[1]]]), ["enumerate"]),
         ({"backend": "moebius", "n": True}, ["enumerate"]),
         (dict(S4, degree=MAX_DEGREE + 1), ["enumerate"]),
+        (dict(S4, generators=[[[1.9, "2"]]]), ["enumerate"]),
+        (dict(S4, generators=[[[True, 2]]]), ["enumerate"]),
+        (dict(SL2_3, generators=[[[1.7, 1], [0, 1]]]), ["enumerate"]),
+        (dict(SL2_3, generators=[[[True, 1], [0, 1]]]), ["enumerate"]),
     ],
 )
 def test_malformed_input_is_an_error_object(capsys, tmp_path, spec, command):
@@ -286,6 +290,22 @@ def test_malformed_input_is_an_error_object(capsys, tmp_path, spec, command):
     code, out, err = run_cli(capsys, command + ["--input", str(path)])
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["type"] == "InvalidBackendSpec"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        dict(SL2_3, field={"p": 2, "k": 1_000_000}),
+        dict(SL2_3, field={"p": 2**61 - 1, "k": 1}),
+        {"backend": "moebius", "n": 1_000_000},
+    ],
+)
+def test_oversized_field_is_an_error_object(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, ["enumerate", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "InvalidField"
 
 
 GROUP_ARGS = {

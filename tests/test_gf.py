@@ -38,6 +38,24 @@ def test_non_monic_rejected():
 def test_table_limit():
     with pytest.raises(InvalidField):
         FieldSpec(2, 17)
+    with pytest.raises(InvalidField):
+        FieldSpec(2, 10**6)  # refused before p**k is built
+    with pytest.raises(InvalidField):
+        FieldSpec(2**61 - 1, 1)  # refused before trial division
+
+
+@pytest.mark.parametrize(
+    "p,k,poly",
+    [(2, 1, None), (5, 1, None), (2, 4, None), (3, 2, [1, 0, 1]), (2, 7, [1, 1, 0, 0, 0, 0, 0, 1])],
+)
+def test_full_tables_match_polynomial_arithmetic(p, k, poly):
+    f = FieldSpec(p, k, poly)
+    q = f.q
+    assert f._mul_table == [[f._raw_mul(a, b) for b in range(q)] for a in range(q)]
+    assert f._add_table == [
+        [f.from_coeffs([x + y for x, y in zip(f.coeffs(a), f.coeffs(b))]) for b in range(q)]
+        for a in range(q)
+    ]
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from bbgroups.errors import (
     InvalidBackendSpec,
     InvalidField,
 )
-from bbgroups.oracle import cycles_to_images, format_cycles, parse_cycles
+from bbgroups.oracle import MAX_DEGREE, cycles_to_images, format_cycles, parse_cycles
 from bbgroups.subgroups import all_sylow2, is_three_transitive
 
 from conftest import make_s3, make_s4
@@ -219,6 +219,21 @@ def test_build_backend_errors():
         )
     with pytest.raises(InvalidBackendSpec):
         build_backend({"backend": "perm", "degree": 3, "generators": []})
+
+
+@pytest.mark.parametrize(
+    "degree, images, message",
+    [
+        (2, [(1.0, 0)], "integers"),
+        (2, [("1", 0)], "integers"),
+        (2, [(True, False)], "integers"),
+        (0, [()], "degree"),
+        (MAX_DEGREE + 1, [()], "degree"),
+    ],
+)
+def test_from_images_rejects_malformed_input(degree, images, message):
+    with pytest.raises(InvalidBackendSpec, match=message):
+        PermOracle.from_images(degree, images)
 
 
 def test_load_group_spec(tmp_path):
