@@ -276,24 +276,18 @@ class FieldSpec:
             self._mul_table = [[0] * q] + [
                 [0] + [wrap[log[a] + log[b]] for b in range(1, q)] for a in range(1, q)
             ]
-            if self.k == 1:
-                self._add_table = [[(a + b) % q for b in range(q)] for a in range(q)]
-            elif self.p == 2:
+            if self.p == 2:
                 self._add_table = [[a ^ b for b in range(q)] for a in range(q)]
             else:
-                add_one = [
-                    [
-                        self.from_coeffs(
-                            [
-                                (x + y) % self.p
-                                for x, y in zip(self.coeffs(a), self.coeffs(b))
-                            ]
-                        )
-                        for b in range(q)
-                    ]
-                    for a in range(q)
-                ]
-                self._add_table = add_one
+                # Digitwise: add[a][b] = (a % p + b % p) % p + p * add[a//p][b//p],
+                # row a // p < a already built; low[a0][b0] = (a0 + b0) % p.
+                p = self.p
+                low = [list(range(a0, p)) + list(range(a0)) for a0 in range(p)]
+                add = [list(range(q))]
+                for a in range(1, q):
+                    high, digit = add[a // p][: q // p], low[a % p]
+                    add.append([p * h + d for h in high for d in digit])
+                self._add_table = add
 
     def _spot_check(self) -> None:
         """Field-axiom sanity pass: inverses exhaustively, assoc/distrib sampled."""

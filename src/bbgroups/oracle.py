@@ -177,11 +177,20 @@ class GroupOracle:
     # --- construction-time checks --------------------------------------------
 
     def _exact_exponent(self, cap: int) -> int:
-        from .powertools import element_order
-
-        exp = 1
+        """lcm of the element orders; a power of an element already walked
+        has an order dividing that element's, so it is skipped."""
+        exp, walked = 1, set()
         for x in self.enumerate(cap):
-            exp = math.lcm(exp, element_order(self, x, cap))
+            if x.payload in walked:
+                continue
+            y, n = x, 1
+            while not self.is_identity(y):
+                walked.add(y.payload)
+                y = self.mul(y, x)
+                n += 1
+                if n > cap:
+                    raise EnumerationCapExceeded(f"element order exceeds cap {cap}")
+            exp = math.lcm(exp, n)
         return exp
 
     def _validate_contract(self) -> None:
@@ -562,6 +571,6 @@ def load_group_spec(path: str, enum_cap: int = DEFAULT_ENUM_CAP) -> GroupOracle:
             spec = json.load(fh)
     except OSError as e:
         raise InvalidBackendSpec(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, an over-long integer, bad UTF-8
         raise InvalidBackendSpec(f"invalid JSON in {path}: {e}") from e
     return build_backend(spec, enum_cap)

@@ -2,8 +2,7 @@
 
 Everything below is phrased against the multiplication oracle alone; the
 actual order of an element is never needed.  element_order is brute force:
-ground truth for tests and reports, and the exact exponent of an oracle
-built without a supplied bound.
+ground truth for tests and reports.
 """
 
 from __future__ import annotations
@@ -103,9 +102,8 @@ def squaring_chain(oracle: GroupOracle, y: Element, exp: ExponentData) -> Elemen
 def element_order(oracle: GroupOracle, x: Element, cap: int | None = None) -> int:
     """Least n >= 1 with x**n == identity, by iterated multiplication.
 
-    Ground truth for tests and for GroupOracle's exact exponent; the main
-    algorithms never call this.  The cap defaults to the oracle's exponent
-    bound, which the order divides; pass it while that bound is unset.
+    Ground truth for tests and reports; the main algorithms never call this.
+    The cap defaults to the oracle's exponent bound, which the order divides.
     """
     cap = cap if cap is not None else oracle.exponent_bound
     y, n = x, 1

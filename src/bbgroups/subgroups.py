@@ -167,22 +167,33 @@ def sylow2(
 def all_sylow2(
     oracle: GroupOracle, cap: int = DEFAULT_ENUM_CAP
 ) -> list[frozenset[tuple]]:
-    """All Sylow 2-subgroups as payload-sets (conjugates of one of them)."""
-    base = sylow2(oracle, cap=cap)
-    seen = set()
-    for g in oracle.enumerate(cap):
-        seen.add(frozenset(oracle.conjugate(a, g).payload for a in base))
+    """All Sylow 2-subgroups as payload-sets: the orbit of one of them under
+    conjugation by the generators, which is its orbit under the whole group."""
+    base = frozenset(a.payload for a in sylow2(oracle, cap=cap))
+    orbit = [base]
+    seen = {base}
+    for s in orbit:
+        members = [Element(oracle.backend_id, p) for p in s]
+        for g in oracle.generators:
+            image = frozenset(oracle.conjugate(a, g).payload for a in members)
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
     return sorted(seen, key=sorted)
 
 
 def normalizer_of_set(
     oracle: GroupOracle, members: Sequence[Element], cap: int = DEFAULT_ENUM_CAP
 ) -> list[Element]:
-    """All g with {m^g} equal to the member set."""
+    """All g with {m^g} equal to the member set.  Conjugation is injective, so
+    each g is dropped at the first member it moves outside the set; the
+    identity, fixed by every g, is not conjugated."""
     target = {a.payload for a in members}
+    moved = [a for a in members if not oracle.is_identity(a)]
     out = []
     for g in oracle.enumerate(cap):
-        if {oracle.conjugate(a, g).payload for a in members} == target:
+        g_inv = oracle.inv(g)
+        if all(oracle.mul(oracle.mul(g_inv, a), g).payload in target for a in moved):
             out.append(g)
     return out
 

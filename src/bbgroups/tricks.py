@@ -254,42 +254,39 @@ def burnside_audit(
     n is derived from the Sylow order; a mismatching n_hint is reported but
     ignored.
     """
-    elems = oracle.enumerate(cap)
-    order = len(elems)
-    invs = involutions(oracle, cap)
+    order = len(oracle.enumerate(cap))
+    # C(t^g) = C(t)^g: one centralizer per class decides the hypothesis and
+    # every centralizer order.
+    classes = involution_classes(oracle, cap)
     cent_orders = []
     hypothesis = True
-    for t in invs:
-        cent = centralizer(oracle, t, cap)
+    for cls in classes:
+        cent = centralizer(oracle, cls[0], cap)
         cent_orders.append(len(cent))
         if hypothesis and not is_elementary_abelian_2(oracle, cent):
             hypothesis = False
-    classes = involution_classes(oracle, cap)
     sylow = sylow2(oracle, cap=cap)
     sylow_order = len(sylow)
     n = sylow_order.bit_length() - 1
     n_hint_mismatch = n_hint is not None and n_hint != n
     sylow_payloads = {a.payload for a in sylow}
-    sylow_normal = all(
-        {oracle.conjugate(a, g).payload for a in sylow} == sylow_payloads
-        for g in elems
-    )
+    norm = normalizer_of_set(oracle, sylow, cap)
     report = BurnsideReport(
         group_order=order,
         hypothesis_holds=hypothesis,
         branch="fail",
-        involution_count=len(invs),
+        involution_count=sum(len(cls) for cls in classes),
         involution_class_count=len(classes),
         centralizer_elementary_abelian=hypothesis,
         centralizer_orders=sorted(set(cent_orders)),
         n=n,
         sylow_order=sylow_order,
-        sylow_normal=sylow_normal,
+        sylow_normal=len(norm) == order,
         n_hint_mismatch=n_hint_mismatch,
     )
     if not hypothesis:
         return report
-    if sylow_normal:
+    if report.sylow_normal:
         report.branch = "normal_sylow"
         return report
     if len(classes) != 1:
@@ -303,12 +300,13 @@ def burnside_audit(
         for a in range(len(sylows))
         for b in range(a + 1, len(sylows))
     )
-    norm = normalizer_of_set(oracle, sylow, cap)
     report.normalizer_order = len(norm)
     report.mu = len(norm) // sylow_order if len(norm) % sylow_order == 0 else None
+    class_of = {c.payload: cls for cls in classes + [[oracle.identity()]] for c in cls}
     fused = True
     for a in sylow:
-        in_g = {c.payload for c in conjugacy_class(oracle, a, cap)} & sylow_payloads
+        cls = class_of.get(a.payload) or conjugacy_class(oracle, a, cap)
+        in_g = {c.payload for c in cls} & sylow_payloads
         in_k = {oracle.conjugate(a, k).payload for k in norm}
         if in_g != in_k:
             fused = False

@@ -1,0 +1,187 @@
+"""The exhaustive layer against full-scan references.
+
+burnside_audit scans one centralizer per involution class, normalizer_of_set
+stops each g at the first member it moves out of the set, all_sylow2 is an
+orbit under the generators, and the exact exponent walks each cyclic
+subgroup once.  The references below scan everything, so the answers must
+agree exactly; the mul gates pin the savings.
+"""
+
+import dataclasses
+import math
+
+import pytest
+
+from bbgroups import BurnsideReport, PermOracle, burnside_audit, element_order, moebius_oracle
+from bbgroups.subgroups import (
+    all_sylow2,
+    centralizer,
+    conjugacy_class,
+    coset_action_images,
+    involutions,
+    is_elementary_abelian_2,
+    is_three_transitive,
+    normalizer_of_set,
+    sylow2,
+)
+
+from conftest import make_a5, make_cyclic, make_d8, make_s4, make_sl2_3, make_sl2_8
+
+GROUPS = {
+    "S4": make_s4,
+    "D8": make_d8,
+    "A4": lambda: PermOracle(4, [[[1, 2, 3]], [[1, 2], [3, 4]]]),
+    "A5": make_a5,
+    "S5": lambda: PermOracle(5, [[[1, 2]], [[1, 2, 3, 4, 5]]]),
+    "C2": lambda: make_cyclic(2),
+    "C3": lambda: make_cyclic(3),
+    "SL2(3)": make_sl2_3,
+    "moebius(2)": lambda: moebius_oracle(2),
+    "moebius(3)": lambda: moebius_oracle(3),
+    "SL2(8)": make_sl2_8,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GROUPS))
+def group(request):
+    return GROUPS[request.param]()
+
+
+def conjugates(oracle, members, g):
+    return {oracle.conjugate(a, g).payload for a in members}
+
+
+def reference_normalizer(oracle, members):
+    target = {a.payload for a in members}
+    return [g for g in oracle.enumerate() if conjugates(oracle, members, g) == target]
+
+
+def reference_all_sylow2(oracle):
+    base = sylow2(oracle)
+    return sorted({frozenset(conjugates(oracle, base, g)) for g in oracle.enumerate()}, key=sorted)
+
+
+def reference_audit(oracle, n_hint=None):
+    """The audit with a centralizer per involution and full scans throughout."""
+    elems = oracle.enumerate()
+    order = len(elems)
+    invs = involutions(oracle)
+    cents = [centralizer(oracle, t) for t in invs]
+    hypothesis = all(is_elementary_abelian_2(oracle, c) for c in cents)
+    classes = []
+    for t in invs:
+        if not any(t.payload in cls for cls in classes):
+            classes.append({a.payload for a in conjugacy_class(oracle, t)})
+    sylow = sylow2(oracle)
+    n = len(sylow).bit_length() - 1
+    sylow_payloads = {a.payload for a in sylow}
+    normal = all(conjugates(oracle, sylow, g) == sylow_payloads for g in elems)
+    report = BurnsideReport(
+        group_order=order,
+        hypothesis_holds=hypothesis,
+        branch="fail",
+        involution_count=len(invs),
+        involution_class_count=len(classes),
+        centralizer_elementary_abelian=hypothesis,
+        centralizer_orders=sorted({len(c) for c in cents}),
+        n=n,
+        sylow_order=len(sylow),
+        sylow_normal=normal,
+        n_hint_mismatch=n_hint is not None and n_hint != n,
+    )
+    if not hypothesis:
+        return report
+    if normal:
+        report.branch = "normal_sylow"
+        return report
+    if len(classes) != 1:
+        return report
+    report.branch = "single_class"
+    sylows = reference_all_sylow2(oracle)
+    ident = oracle.identity().payload
+    report.sylow_ti = all(
+        a == b or a & b == {ident} for a in sylows for b in sylows
+    )
+    norm = reference_normalizer(oracle, sylow)
+    report.normalizer_order = len(norm)
+    report.mu = len(norm) // len(sylow) if len(norm) % len(sylow) == 0 else None
+    report.fusion_controlled = all(
+        {c.payload for c in conjugacy_class(oracle, a)} & sylow_payloads
+        == {oracle.conjugate(a, k).payload for k in norm}
+        for a in sylow
+    )
+    report.order_formula_holds = order == (2**n + 1) * 2**n * (2**n - 1)
+    if report.order_formula_holds:
+        images, npoints = coset_action_images(oracle, norm)
+        report.three_transitive = npoints == 2**n + 1 and is_three_transitive(images, npoints)
+    return report
+
+
+def test_audit_matches_full_scan_reference(group):
+    assert burnside_audit(group, n_hint=3) == reference_audit(group, n_hint=3)
+
+
+def test_normalizer_of_set_matches_full_scan(group):
+    elems = group.enumerate()
+    ident = group.identity()
+    invs = involutions(group)
+    sets = [
+        sylow2(group),
+        [ident],
+        [],
+        list(group.generators),  # not a subgroup
+        [ident] + invs[:1],
+        invs[:4],
+        elems[:6],
+    ]
+    for members in sets:
+        assert normalizer_of_set(group, members) == reference_normalizer(group, members)
+
+
+def test_all_sylow2_matches_full_scan(group):
+    assert all_sylow2(group) == reference_all_sylow2(group)
+
+
+def test_exact_exponent_is_lcm_of_element_orders(group):
+    orders = [element_order(group, x) for x in group.enumerate()]
+    assert group.exponent_bound == math.lcm(*orders)
+
+
+def test_audit_mul_budget_moebius3():
+    oracle = moebius_oracle(3, exponent=126)
+    before = oracle.mult_counter.total
+    report = burnside_audit(oracle, n_hint=3)
+    assert report.branch == "single_class" and report.three_transitive
+    assert oracle.mult_counter.total - before <= 12_000  # a scan per involution: 96,718
+
+
+def test_exact_exponent_mul_budget_moebius3():
+    oracle = moebius_oracle(3)
+    assert oracle.exponent_bound == 126
+    assert oracle.mult_counter.total <= 1_700  # an order walk per element: 3,439
+
+
+def test_audit_moebius4():
+    oracle = moebius_oracle(4, exponent=510)
+    before = oracle.mult_counter.total
+    report = burnside_audit(oracle, n_hint=4)
+    assert oracle.mult_counter.total - before <= 150_000
+    assert dataclasses.asdict(report) == dict(
+        group_order=4080,
+        hypothesis_holds=True,
+        branch="single_class",
+        involution_count=255,
+        involution_class_count=1,
+        centralizer_elementary_abelian=True,
+        centralizer_orders=[16],
+        n=4,
+        sylow_order=16,
+        sylow_normal=False,
+        n_hint_mismatch=False,
+        sylow_ti=True,
+        fusion_controlled=True,
+        normalizer_order=240,
+        mu=15,
+        order_formula_holds=True,
+        three_transitive=True,
+    )

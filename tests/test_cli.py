@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +174,19 @@ def test_burnside_moebius2(capsys, moebius2_file):
     assert report["mu"] == 3
 
 
+def test_burnside_moebius4(capsys, tmp_path):
+    path = tmp_path / "moebius4.json"
+    path.write_text(json.dumps({"backend": "moebius", "n": 4}))
+    code, out, _ = run_cli(capsys, ["burnside", "--input", str(path), "--n-hint", "4"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["branch"] == "single_class"
+    assert report["n"] == 4 and not report["n_hint_mismatch"]
+    assert report["normalizer_order"] == 240
+    assert report["mu"] == 15
+    assert report["three_transitive"] is True
+
+
 def test_polar(capsys):
     code, out, _ = run_cli(capsys, ["polar", "--matrix", "[[2, 0], [0, 0.5]]"])
     assert code == 0
@@ -253,10 +268,13 @@ def test_console_entry_point(tmp_path):
     path.write_text(
         json.dumps({"backend": "perm", "degree": 3, "generators": [[[1, 2]], [[1, 2, 3]]]})
     )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "bbgroups.cli", "enumerate", "--input", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 6
@@ -282,11 +300,18 @@ def test_console_entry_point(tmp_path):
         (dict(S4, generators=[[[True, 2]]]), ["enumerate"]),
         (dict(SL2_3, generators=[[[1.7, 1], [0, 1]]]), ["enumerate"]),
         (dict(SL2_3, generators=[[[True, 1], [0, 1]]]), ["enumerate"]),
+        # json refuses integer literals past 4,300 digits with a plain ValueError
+        pytest.param(
+            b'{"backend": "perm", "degree": ' + b"9" * 5000 + b', "generators": []}',
+            ["enumerate"],
+            id="5000-digit-degree",
+        ),
+        pytest.param(b'{"backend": "perm", "degree": \xff}', ["enumerate"], id="bad-utf8"),
     ],
 )
 def test_malformed_input_is_an_error_object(capsys, tmp_path, spec, command):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
+    path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
     code, out, err = run_cli(capsys, command + ["--input", str(path)])
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["type"] == "InvalidBackendSpec"
