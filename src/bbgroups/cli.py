@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .bray import centralizer_closure_check, centralizer_sample, zeta_distribution_audit
-from .cartan import connectedness_path, polar_decompose
+from .cartan import _as_square, connectedness_path, polar_decompose
 from .errors import GroupError
 from .oracle import DEFAULT_ENUM_CAP, Element, GroupOracle, load_group_spec
 from .powertools import element_order, extract_involution
@@ -124,11 +124,10 @@ def _matrix_to_lists(m: np.ndarray) -> list[list[float]]:
 
 
 def _cmd_polar(args: argparse.Namespace) -> dict:
-    try:
-        rows = json.loads(args.matrix)
-    except json.JSONDecodeError as e:
+    try:  # bad JSON, an over-long integer, too deep a nesting, or non-numbers
+        x = _as_square(json.loads(args.matrix))
+    except (ValueError, TypeError, RecursionError) as e:
         raise GroupError(f"could not parse matrix: {e}") from e
-    x = np.asarray(rows, dtype=float)
     report: dict = {"matrix": _matrix_to_lists(x), "mult_count": 0}
     if args.path:
         path = connectedness_path(x, args.steps, args.tol)

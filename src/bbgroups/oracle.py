@@ -442,11 +442,13 @@ class MatrixOracle(GroupOracle):
         return json.dumps(self.rows(a))
 
     def parse_element(self, text: str) -> Element:
-        try:
+        try:  # bad JSON, an over-long integer, too deep a nesting
             data = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise InvalidBackendSpec(f"could not parse matrix {text!r}: {e}") from e
-        return Element(self.backend_id, self._coerce_matrix(data))
+        payload = self._coerce_matrix(data)
+        self._inv_payload(payload)  # raises InvalidBackendSpec on a singular matrix
+        return Element(self.backend_id, payload)
 
 
 # --- moebius backend -------------------------------------------------------------
@@ -571,6 +573,6 @@ def load_group_spec(path: str, enum_cap: int = DEFAULT_ENUM_CAP) -> GroupOracle:
             spec = json.load(fh)
     except OSError as e:
         raise InvalidBackendSpec(f"cannot read {path}: {e}") from e
-    except ValueError as e:  # JSONDecodeError, an over-long integer, bad UTF-8
+    except (ValueError, RecursionError) as e:  # bad JSON, UTF-8 or nesting, an over-long integer
         raise InvalidBackendSpec(f"invalid JSON in {path}: {e}") from e
     return build_backend(spec, enum_cap)

@@ -2,13 +2,13 @@
 
 Ground-truth utilities shared by the audits and the test suite: subgroup
 closure, centralizers, conjugacy classes, Sylow 2-subgroups, normalizers,
-and orbit counting on ordered triples.  Everything here is exhaustive and
-only meant for desk-scale groups.
+conjugate orbits of a set, and orbit counting on ordered triples.
+Everything here is exhaustive and only meant for desk-scale groups.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EnumerationCapExceeded, NotAnInvolution
 from .oracle import DEFAULT_ENUM_CAP, Element, GroupOracle
@@ -72,8 +72,7 @@ def conjugacy_class(
     oracle: GroupOracle, a: Element, cap: int = DEFAULT_ENUM_CAP
 ) -> list[Element]:
     """The class {a^g : g in G}, sorted by payload."""
-    seen = {oracle.conjugate(a, g).payload for g in oracle.enumerate(cap)}
-    return [Element(oracle.backend_id, p) for p in sorted(seen)]
+    return conjugation_classes(oracle, [a], oracle.enumerate(cap))[0]
 
 
 def involutions(oracle: GroupOracle, cap: int = DEFAULT_ENUM_CAP) -> list[Element]:
@@ -138,7 +137,8 @@ def sylow2(
 
     While the current 2-subgroup S is below full Sylow order, some 2-element
     outside S normalizes S (normalizers grow in 2-groups), and the scan picks
-    the least such in payload order, so the result is reproducible.
+    the least such in payload order, so the result is reproducible.  A
+    candidate is dropped at the first member it conjugates out of S.
     """
     elems = oracle.enumerate(cap)
     target = two_part(len(elems))
@@ -153,9 +153,7 @@ def sylow2(
         for g in elems:
             if g.payload in member_payloads or not is_two_element(oracle, g):
                 continue
-            if all(
-                oracle.conjugate(a, g).payload in member_payloads for a in group
-            ):
+            if all(c.payload in member_payloads for c in _conjugated(oracle, group, g)):
                 group = closure(oracle, group + [g], cap)
                 grown = True
                 break
@@ -167,35 +165,59 @@ def sylow2(
 def all_sylow2(
     oracle: GroupOracle, cap: int = DEFAULT_ENUM_CAP
 ) -> list[frozenset[tuple]]:
-    """All Sylow 2-subgroups as payload-sets: the orbit of one of them under
-    conjugation by the generators, which is its orbit under the whole group."""
-    base = frozenset(a.payload for a in sylow2(oracle, cap=cap))
-    orbit = [base]
-    seen = {base}
+    """All Sylow 2-subgroups as payload-sets, sorted: the conjugate orbit of
+    one of them."""
+    return sorted(conjugate_orbit(oracle, sylow2(oracle, cap=cap))[0], key=sorted)
+
+
+def _conjugated(oracle: GroupOracle, members: Iterable[Element], g: Element) -> Iterator[Element]:
+    """m^g for each member m, lazily, so a caller can stop at the first image
+    it rejects: g is inverted once, and the identity, fixed by every g, costs
+    no muls."""
+    g_inv = oracle.inv(g)
+    ident = oracle.identity().payload
+    for a in members:
+        yield a if a.payload == ident else oracle.mul(oracle.mul(g_inv, a), g)
+
+
+def conjugate_orbit(
+    oracle: GroupOracle, members: Sequence[Element]
+) -> tuple[list[frozenset[tuple]], list[tuple[int, ...]]]:
+    """The conjugates of the member set, as payload-sets in discovery order
+    (the set itself first), and each generator's permutation of them as an
+    image tuple.  The orbit under the generators is the orbit under G."""
+    first = frozenset(a.payload for a in members)
+    index = {first: 0}
+    orbit = [first]
+    images: list[list[int]] = [[] for _ in oracle.generators]
     for s in orbit:
-        members = [Element(oracle.backend_id, p) for p in s]
-        for g in oracle.generators:
-            image = frozenset(oracle.conjugate(a, g).payload for a in members)
-            if image not in seen:
-                seen.add(image)
+        elems = [Element(oracle.backend_id, p) for p in s]
+        for img, g in zip(images, oracle.generators):
+            image = frozenset(c.payload for c in _conjugated(oracle, elems, g))
+            if image not in index:
+                index[image] = len(orbit)
                 orbit.append(image)
-    return sorted(seen, key=sorted)
+            img.append(index[image])
+    return orbit, [tuple(img) for img in images]
+
+
+def is_ti_orbit(orbit: Sequence[frozenset[tuple]]) -> bool:
+    """Distinct sets of a conjugate orbit of a subgroup meet only in the
+    identity.  (S^a, S^b) is conjugate to (S, S^(b a^-1)), so comparing the
+    first set with each other one decides every pair."""
+    return all(len(orbit[0] & s) == 1 for s in orbit[1:])
 
 
 def normalizer_of_set(
     oracle: GroupOracle, members: Sequence[Element], cap: int = DEFAULT_ENUM_CAP
 ) -> list[Element]:
     """All g with {m^g} equal to the member set.  Conjugation is injective, so
-    each g is dropped at the first member it moves outside the set; the
-    identity, fixed by every g, is not conjugated."""
+    each g is dropped at the first member it moves outside the set."""
     target = {a.payload for a in members}
-    moved = [a for a in members if not oracle.is_identity(a)]
-    out = []
-    for g in oracle.enumerate(cap):
-        g_inv = oracle.inv(g)
-        if all(oracle.mul(oracle.mul(g_inv, a), g).payload in target for a in moved):
-            out.append(g)
-    return out
+    return [
+        g for g in oracle.enumerate(cap)
+        if all(c.payload in target for c in _conjugated(oracle, members, g))
+    ]
 
 
 def triple_orbit_size(images: Sequence[Sequence[int]], npoints: int) -> int:
@@ -221,26 +243,3 @@ def is_three_transitive(images: Sequence[Sequence[int]], npoints: int) -> bool:
     """True iff the generated action is transitive on ordered distinct triples."""
     return triple_orbit_size(images, npoints) == npoints * (npoints - 1) * (npoints - 2)
 
-
-def coset_action_images(
-    oracle: GroupOracle, subgroup: Sequence[Element], cap: int = DEFAULT_ENUM_CAP
-) -> tuple[list[tuple[int, ...]], int]:
-    """Right-multiplication action of the generators on right cosets K\\G.
-
-    Returns one image tuple per generator plus the number of cosets; cosets
-    are indexed by their minimal-payload representative.
-    """
-    elems = oracle.enumerate(cap)
-    coset_of: dict[tuple, int] = {}
-    reps: list[Element] = []
-    for g in elems:
-        if g.payload in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for k in subgroup:
-            coset_of[oracle.mul(k, g).payload] = idx
-    images = []
-    for gen in oracle.generators:
-        images.append(tuple(coset_of[oracle.mul(rep, gen).payload] for rep in reps))
-    return images, len(reps)

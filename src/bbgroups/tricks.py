@@ -23,16 +23,16 @@ from .errors import (
 from .oracle import DEFAULT_ENUM_CAP, Element, GroupOracle
 from .powertools import ExponentData, odd_root
 from .subgroups import (
-    all_sylow2,
+    _conjugated,
     centralizer,
     closure,
-    conjugacy_class,
+    conjugate_orbit,
     conjugation_classes,
-    coset_action_images,
     involution_classes,
     involutions,
     is_elementary_abelian_2,
     is_three_transitive,
+    is_ti_orbit,
     normalizer_of_set,
     require_involution,
     sylow2,
@@ -126,10 +126,8 @@ def ti_subgroup(
         raise HypothesisViolation("member list is not closed under multiplication")
     if not is_elementary_abelian_2(oracle, members):
         raise HypothesisViolation("subgroup is not elementary abelian of exponent 2")
-    for g in oracle.enumerate(cap):
-        inter = {oracle.conjugate(a, g).payload for a in members} & payloads
-        if len(inter) != 1 and inter != payloads:
-            raise HypothesisViolation("TI property fails: U meets a conjugate properly")
+    if not is_ti_orbit(conjugate_orbit(oracle, members)[0]):
+        raise HypothesisViolation("TI property fails: U meets a conjugate properly")
     norm = normalizer_of_set(oracle, members, cap)
     non_id = [a for a in members if not oracle.is_identity(a)]
     if len(conjugation_classes(oracle, non_id, norm)) > 1:
@@ -201,9 +199,8 @@ def sylow2_normalizer_generators(
                     b = double_conjugation(oracle, t, r, s, exp)
                 except EvenOrderInput:
                     continue
-                if {
-                    oracle.conjugate(a, b).payload for a in sylow_members
-                } != t_payloads:
+                # conjugation is injective, so into T means onto T
+                if not all(c.payload in t_payloads for c in _conjugated(oracle, sylow_members, b)):
                     raise VerificationFailed(
                         "double-conjugation element does not normalize T"
                     )
@@ -249,7 +246,7 @@ def burnside_audit(
     """Check the dichotomy: normal Sylow 2-subgroup, or a single class of
     involutions with TI Sylows, controlled fusion, normalizer of order
     2^n * (2^n - 1), group order (2^n + 1) * 2^n * (2^n - 1), and a
-    3-transitive action on the 2^n + 1 normalizer cosets.
+    3-transitive action on the 2^n + 1 Sylow 2-subgroups.
 
     n is derived from the Sylow order; a mismatching n_hint is reported but
     ignored.
@@ -293,29 +290,22 @@ def burnside_audit(
         # impossible under the hypothesis: multiple classes force a normal Sylow
         return report
     report.branch = "single_class"
-    sylows = all_sylow2(oracle, cap)
-    ident = oracle.identity().payload
-    report.sylow_ti = all(
-        sylows[a] & sylows[b] == {ident}
-        for a in range(len(sylows))
-        for b in range(a + 1, len(sylows))
-    )
+    sylows, images = conjugate_orbit(oracle, sylow)
+    report.sylow_ti = is_ti_orbit(sylows)
     report.normalizer_order = len(norm)
     report.mu = len(norm) // sylow_order if len(norm) % sylow_order == 0 else None
-    class_of = {c.payload: cls for cls in classes + [[oracle.identity()]] for c in cls}
-    fused = True
-    for a in sylow:
-        cls = class_of.get(a.payload) or conjugacy_class(oracle, a, cap)
-        in_g = {c.payload for c in cls} & sylow_payloads
-        in_k = {oracle.conjugate(a, k).payload for k in norm}
-        if in_g != in_k:
-            fused = False
-            break
-    report.fusion_controlled = fused
+    # S lies in the elementary abelian C(t) of a central involution t, so its
+    # non-identity members are involutions: fusion is controlled exactly when
+    # N splits them as the involution classes of G do.
+    in_g = ({c.payload for c in cls} & sylow_payloads for cls in classes)
+    non_id = [a for a in sylow if not oracle.is_identity(a)]
+    in_n = conjugation_classes(oracle, non_id, norm)
+    report.fusion_controlled = {frozenset(p) for p in in_g if p} == {
+        frozenset(a.payload for a in cls) for cls in in_n
+    }
     report.order_formula_holds = order == (2**n + 1) * 2**n * (2**n - 1)
     if report.order_formula_holds:
-        images, npoints = coset_action_images(oracle, norm, cap)
-        report.three_transitive = (
-            npoints == 2**n + 1 and is_three_transitive(images, npoints)
-        )
+        # S^g -> N*g is a G-equivariant bijection onto the cosets N\G
+        npoints = len(sylows)
+        report.three_transitive = npoints == 2**n + 1 and is_three_transitive(images, npoints)
     return report

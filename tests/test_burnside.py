@@ -1,8 +1,9 @@
 """The exhaustive layer against full-scan references.
 
-burnside_audit scans one centralizer per involution class, normalizer_of_set
-stops each g at the first member it moves out of the set, all_sylow2 is an
-orbit under the generators, and the exact exponent walks each cyclic
+burnside_audit scans one centralizer per involution class and acts on the
+conjugate orbit of one Sylow 2-subgroup, normalizer_of_set stops each g at
+the first member it moves out of the set, all_sylow2 and the TI test of
+ti_subgroup use the conjugate orbit, and the exact exponent walks each cyclic
 subgroup once.  The references below scan everything, so the answers must
 agree exactly; the mul gates pin the savings.
 """
@@ -12,12 +13,22 @@ import math
 
 import pytest
 
-from bbgroups import BurnsideReport, PermOracle, burnside_audit, element_order, moebius_oracle
+from bbgroups import (
+    BurnsideReport,
+    PermOracle,
+    burnside_audit,
+    element_order,
+    moebius_oracle,
+    ti_subgroup,
+)
+from bbgroups.errors import HypothesisViolation
 from bbgroups.subgroups import (
     all_sylow2,
     centralizer,
+    closure,
     conjugacy_class,
-    coset_action_images,
+    conjugate_orbit,
+    conjugation_classes,
     involutions,
     is_elementary_abelian_2,
     is_three_transitive,
@@ -59,6 +70,28 @@ def reference_normalizer(oracle, members):
 def reference_all_sylow2(oracle):
     base = sylow2(oracle)
     return sorted({frozenset(conjugates(oracle, base, g)) for g in oracle.enumerate()}, key=sorted)
+
+
+def coset_action_images(oracle, subgroup):
+    """Right-multiplication action of the generators on right cosets K\\G.
+
+    Returns one image tuple per generator, the number of cosets, and the
+    coset representatives in index order, each the least-payload element
+    of its coset.
+    """
+    coset_of = {}
+    reps = []
+    for g in oracle.enumerate():
+        if g.payload in coset_of:
+            continue
+        idx = len(reps)
+        reps.append(g)
+        for k in subgroup:
+            coset_of[oracle.mul(k, g).payload] = idx
+    images = []
+    for gen in oracle.generators:
+        images.append(tuple(coset_of[oracle.mul(rep, gen).payload] for rep in reps))
+    return images, len(reps), reps
 
 
 def reference_audit(oracle, n_hint=None):
@@ -112,7 +145,7 @@ def reference_audit(oracle, n_hint=None):
     )
     report.order_formula_holds = order == (2**n + 1) * 2**n * (2**n - 1)
     if report.order_formula_holds:
-        images, npoints = coset_action_images(oracle, norm)
+        images, npoints, _ = coset_action_images(oracle, norm)
         report.three_transitive = npoints == 2**n + 1 and is_three_transitive(images, npoints)
     return report
 
@@ -147,12 +180,81 @@ def test_exact_exponent_is_lcm_of_element_orders(group):
     assert group.exponent_bound == math.lcm(*orders)
 
 
+@pytest.mark.parametrize("name", ["A5", "moebius(2)", "moebius(3)", "SL2(8)"])
+def test_sylow_orbit_action_is_the_coset_action(name):
+    # S^g -> N*g is a bijection that turns each generator's permutation of
+    # the Sylows into its permutation of the cosets of N = N_G(S)
+    oracle = GROUPS[name]()
+    sylow = sylow2(oracle)
+    orbit, perms = conjugate_orbit(oracle, sylow)
+    coset_images, npoints, reps = coset_action_images(oracle, normalizer_of_set(oracle, sylow))
+    index = {s: i for i, s in enumerate(orbit)}
+    phi = [index[frozenset(conjugates(oracle, sylow, r))] for r in reps]
+    assert sorted(phi) == list(range(npoints)) == list(range(len(orbit)))
+    assert len(perms) == len(coset_images) == len(oracle.generators)
+    for perm, coset_perm in zip(perms, coset_images):
+        assert [perm[phi[j]] for j in range(npoints)] == [phi[coset_perm[j]] for j in range(npoints)]
+
+
+def reference_ti_failure(oracle, members):
+    """The check ti_subgroup fails first, with TI decided by a scan over G."""
+    payloads = {a.payload for a in members} | {oracle.identity().payload}
+    members = [a for a in oracle.enumerate() if a.payload in payloads]
+    if {a.payload for a in closure(oracle, members)} != payloads:
+        return "not closed"
+    if not is_elementary_abelian_2(oracle, members):
+        return "not elementary abelian"
+    for g in oracle.enumerate():
+        inter = conjugates(oracle, members, g) & payloads
+        if len(inter) != 1 and inter != payloads:
+            return "TI property fails"
+    non_id = [a for a in members if not oracle.is_identity(a)]
+    if len(conjugation_classes(oracle, non_id, reference_normalizer(oracle, members))) > 1:
+        return "not transitive"
+    return None
+
+
+def ti_candidates(oracle):
+    """<t>, <t, u> for the first involution u commuting with t, and a Sylow."""
+    invs = involutions(oracle)
+    out = [sylow2(oracle)]
+    for t in invs[:3]:
+        out.append([oracle.identity(), t])
+        u = next((u for u in invs if u != t and oracle.commutes(t, u)), None)
+        if u is not None:
+            out.append(closure(oracle, [t, u]))
+    return out
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "S5", "SL2(3)", "moebius(3)", "SL2(8)", "C2 x S3"])
+def test_ti_subgroup_matches_full_scan(name):
+    oracle = PermOracle(5, [[[1, 2]], [[3, 4]], [[3, 5]]]) if name == "C2 x S3" else GROUPS[name]()
+    for members in ti_candidates(oracle):
+        failure = reference_ti_failure(oracle, members)
+        if failure is None:
+            sub = ti_subgroup(oracle, members)
+            assert {a.payload for a in sub.members} == {a.payload for a in members}
+        else:
+            with pytest.raises(HypothesisViolation, match=failure):
+                ti_subgroup(oracle, members)
+
+
+def test_ti_subgroup_mul_budget_sl2_8():
+    oracle = make_sl2_8()
+    sylow = sylow2(oracle)
+    before = oracle.mult_counter.total
+    ti_subgroup(oracle, sylow)
+    assert oracle.mult_counter.total - before <= 3_000  # a conjugation by each g in G: 9,929
+
+
 def test_audit_mul_budget_moebius3():
     oracle = moebius_oracle(3, exponent=126)
+    oracle.enumerate()
     before = oracle.mult_counter.total
     report = burnside_audit(oracle, n_hint=3)
     assert report.branch == "single_class" and report.three_transitive
-    assert oracle.mult_counter.total - before <= 12_000  # a scan per involution: 96,718
+    # a scan per involution: 96,718; the coset action and a fusion loop: 6,275
+    assert oracle.mult_counter.total - before <= 5_300
 
 
 def test_exact_exponent_mul_budget_moebius3():
@@ -163,9 +265,10 @@ def test_exact_exponent_mul_budget_moebius3():
 
 def test_audit_moebius4():
     oracle = moebius_oracle(4, exponent=510)
+    oracle.enumerate()
     before = oracle.mult_counter.total
     report = burnside_audit(oracle, n_hint=4)
-    assert oracle.mult_counter.total - before <= 150_000
+    assert oracle.mult_counter.total - before <= 40_000  # the coset action and a fusion loop: 49,449
     assert dataclasses.asdict(report) == dict(
         group_order=4080,
         hypothesis_holds=True,

@@ -210,9 +210,23 @@ def test_polar_path(capsys):
     assert len(report["path"]) == 9
 
 
-def test_polar_bad_matrix_json(capsys):
-    code, _, err = run_cli(capsys, ["polar", "--matrix", "[[oops"])
-    assert code == 1
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        pytest.param("[[oops", id="truncated-json"),
+        pytest.param("[[1,2],[3]]", id="ragged"),
+        pytest.param('"abc"', id="string"),
+        pytest.param('[[1,2],[3,"x"]]', id="string-entry"),
+        pytest.param("9" * 5000, id="5000-digit-literal"),
+        pytest.param("[[[1]]]", id="three-dimensional"),
+        pytest.param('{"a":1}', id="object"),
+        pytest.param("null", id="null"),
+        pytest.param("[" * 100_000, id="deep-nesting"),
+    ],
+)
+def test_polar_bad_matrix_json(capsys, matrix):
+    code, out, err = run_cli(capsys, ["polar", "--matrix", matrix])
+    assert code == 1 and out == ""
     assert "error" in json.loads(err)
 
 
@@ -307,6 +321,12 @@ def test_console_entry_point(tmp_path):
             id="5000-digit-degree",
         ),
         pytest.param(b'{"backend": "perm", "degree": \xff}', ["enumerate"], id="bad-utf8"),
+        pytest.param(b"[" * 100_000, ["enumerate"], id="deep-nesting"),
+        pytest.param(
+            SL2_3, ["order", "--element", "[[1" + "0" * 5000 + ", 0], [0, 1]]"], id="5001-digit-element"
+        ),
+        pytest.param(SL2_3, ["order", "--element", "[" * 100_000], id="deep-nesting-element"),
+        pytest.param(SL2_3, ["order", "--element", "[[0, 0], [0, 0]]"], id="singular-element"),
     ],
 )
 def test_malformed_input_is_an_error_object(capsys, tmp_path, spec, command):
