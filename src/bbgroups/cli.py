@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -145,7 +146,10 @@ def _cmd_polar(args: argparse.Namespace) -> dict:
     return report
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The bbgroups argument parser, built once per process: building it costs
+    more than a small request, and parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bbgroups",
         description="Black-box group computations with JSON reports.",

@@ -6,6 +6,26 @@ CLI can map it to exit code 1; genuine usage errors stay with argparse and
 exit code 2.
 """
 
+import reprlib
+
+_EXCERPT = reprlib.Repr()
+_EXCERPT.maxstring = _EXCERPT.maxother = 160
+_EXCERPT.maxlist = _EXCERPT.maxtuple = 12
+_EXCERPT.maxlevel = 3
+_EXCERPT_LIMIT = 300
+
+
+def excerpt(value) -> str:
+    """repr(value), cut to at most 300 characters.
+
+    For error messages that echo their input: the input can be arbitrarily
+    long or deeply nested, and the message must stay small.
+    """
+    text = _EXCERPT.repr(value)
+    if len(text) <= _EXCERPT_LIMIT:
+        return text
+    return text[: _EXCERPT_LIMIT - 3] + "..."
+
 
 class GroupError(Exception):
     """Base class for domain errors."""

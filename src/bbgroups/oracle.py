@@ -22,7 +22,6 @@ import math
 import operator
 import random
 import re
-import threading
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -30,6 +29,7 @@ from .errors import (
     EnumerationCapExceeded,
     InvalidBackendSpec,
     VerificationFailed,
+    excerpt,
 )
 from .gf import FieldSpec
 
@@ -48,17 +48,19 @@ class Element(NamedTuple):
 
 
 class MultCounter:
-    """Running count of multiplication-oracle invocations (atomic update)."""
+    """Running count of multiplication-oracle invocations.
 
-    __slots__ = ("_lock", "_total")
+    Single-owner, like a sampling cell: an oracle and its counter belong to
+    one thread, so the update is a plain increment.
+    """
+
+    __slots__ = ("_total",)
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._total = 0
 
     def add(self, n: int = 1) -> None:
-        with self._lock:
-            self._total += n
+        self._total += n
 
     @property
     def total(self) -> int:
@@ -92,7 +94,7 @@ class GroupOracle:
         if exponent is None:
             exponent = self._exact_exponent(enum_cap)
         if not isinstance(exponent, int) or exponent < 1:
-            raise InvalidBackendSpec(f"exponent bound must be a positive integer, got {exponent!r}")
+            raise InvalidBackendSpec(f"exponent bound must be a positive integer, got {excerpt(exponent)}")
         self.exponent_bound = exponent
         self._validate_contract()
 
@@ -232,16 +234,16 @@ def parse_cycles(text: str) -> list[list[int]]:
     cycles = []
     for m in _CYCLE_RE.finditer(stripped):
         if stripped[consumed : m.start()].strip():
-            raise InvalidBackendSpec(f"could not parse permutation {text!r}")
+            raise InvalidBackendSpec(f"could not parse permutation {excerpt(text)}")
         consumed = m.end()
         body = m.group(1).strip()
         if body:
             try:
                 cycles.append([int(tok) for tok in re.split(r"[,\s]+", body)])
             except ValueError as e:
-                raise InvalidBackendSpec(f"could not parse permutation {text!r}") from e
+                raise InvalidBackendSpec(f"could not parse permutation {excerpt(text)}") from e
     if stripped[consumed:].strip():
-        raise InvalidBackendSpec(f"could not parse permutation {text!r}")
+        raise InvalidBackendSpec(f"could not parse permutation {excerpt(text)}")
     return cycles
 
 
@@ -250,14 +252,14 @@ def cycles_to_images(degree: int, cycles: Iterable[Iterable[int]]) -> tuple[int,
     try:
         point_lists = [[_to_int(x) for x in cyc] for cyc in cycles]
     except TypeError as e:
-        raise InvalidBackendSpec(f"cycles must be lists of integer points, got {cycles!r}") from e
+        raise InvalidBackendSpec(f"cycles must be lists of integer points, got {excerpt(cycles)}") from e
     images = list(range(degree))
     for pts in point_lists:
         if len(set(pts)) != len(pts):
-            raise InvalidBackendSpec(f"repeated point in cycle {pts}")
+            raise InvalidBackendSpec(f"repeated point in cycle {excerpt(pts)}")
         for x in pts:
             if not 1 <= x <= degree:
-                raise InvalidBackendSpec(f"point {x} outside 1..{degree}")
+                raise InvalidBackendSpec(f"point {excerpt(x)} outside 1..{degree}")
         step = list(range(degree))
         for pos, x in enumerate(pts):
             step[x - 1] = pts[(pos + 1) % len(pts)] - 1
@@ -324,9 +326,9 @@ class PermOracle(GroupOracle):
             try:
                 img = tuple(_to_int(x) for x in img)
             except TypeError as e:
-                raise InvalidBackendSpec(f"image tuples must hold integers, got {img!r}") from e
+                raise InvalidBackendSpec(f"image tuples must hold integers, got {excerpt(img)}") from e
             if sorted(img) != list(range(degree)):
-                raise InvalidBackendSpec(f"not a permutation of 0..{degree - 1}: {img}")
+                raise InvalidBackendSpec(f"not a permutation of 0..{degree - 1}: {excerpt(img)}")
             payloads.append(img)
         GroupOracle.__init__(
             self, f"perm:{degree}", tuple(range(degree)), payloads, exponent, enum_cap
@@ -371,6 +373,13 @@ class MatrixOracle(GroupOracle):
             raise InvalidBackendSpec(f"dimension must be in 1..{MAX_DEGREE}, got {dim}")
         self.field = field
         self.dim = dim
+        # 2x2 over a field with full tables (q <= 256) multiplies and inverts
+        # by table lookup; every other oracle takes the generic loops.
+        self._tables = (
+            (field._mul_table, field._add_table)
+            if dim == 2 and field._mul_table is not None
+            else None
+        )
         payloads = [self._coerce_matrix(m) for m in generators]
         ident = tuple(
             1 if i == j else 0 for i in range(dim) for j in range(dim)
@@ -389,19 +398,27 @@ class MatrixOracle(GroupOracle):
                 flat = rows
             else:
                 if len(rows) != d:
-                    raise InvalidBackendSpec(f"expected {d}x{d} matrix, got {m!r}")
+                    raise InvalidBackendSpec(f"expected {d}x{d} matrix, got {excerpt(m)}")
                 flat = [x for row in rows for x in row]
                 if len(flat) != d * d:
-                    raise InvalidBackendSpec(f"expected {d}x{d} matrix, got {m!r}")
+                    raise InvalidBackendSpec(f"expected {d}x{d} matrix, got {excerpt(m)}")
             flat = [_to_int(x) for x in flat]
         except TypeError as e:
-            raise InvalidBackendSpec(f"expected {d}x{d} matrix of integers, got {m!r}") from e
+            raise InvalidBackendSpec(f"expected {d}x{d} matrix of integers, got {excerpt(m)}") from e
         for x in flat:
             if not 0 <= x < q:
-                raise InvalidBackendSpec(f"entry {x} outside field of order {q}")
+                raise InvalidBackendSpec(f"entry {excerpt(x)} outside field of order {q}")
         return tuple(flat)
 
     def _mul_payload(self, pa: tuple, pb: tuple) -> tuple:
+        if self._tables is not None:
+            M, A = self._tables
+            a, b, c, d = pa
+            w, x, y, z = pb
+            return (
+                A[M[a][w]][M[b][y]], A[M[a][x]][M[b][z]],
+                A[M[c][w]][M[d][y]], A[M[c][x]][M[d][z]],
+            )
         F, d = self.field, self.dim
         fmul, fadd = F.mul, F.add
         out = []
@@ -415,6 +432,15 @@ class MatrixOracle(GroupOracle):
         return tuple(out)
 
     def _inv_payload(self, pa: tuple) -> tuple:
+        if self._tables is not None:  # adjugate: det^-1 * [[d, -b], [-c, a]]
+            M, A = self._tables
+            neg = M[self.field.p - 1]  # multiplication by -1, index p - 1 in every GF(p^k)
+            a, b, c, d = pa
+            det = A[M[a][d]][neg[M[b][c]]]
+            if det == 0:
+                raise InvalidBackendSpec("matrix is singular")
+            s = M[self.field.inv(det)]
+            return (s[d], neg[s[b]], neg[s[c]], s[a])
         F, d = self.field, self.dim
         a = [list(pa[i * d : (i + 1) * d]) for i in range(d)]
         b = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
@@ -445,7 +471,7 @@ class MatrixOracle(GroupOracle):
         try:  # bad JSON, an over-long integer, too deep a nesting
             data = json.loads(text)
         except (ValueError, RecursionError) as e:
-            raise InvalidBackendSpec(f"could not parse matrix {text!r}: {e}") from e
+            raise InvalidBackendSpec(f"could not parse matrix {excerpt(text)}: {e}") from e
         payload = self._coerce_matrix(data)
         self._inv_payload(payload)  # raises InvalidBackendSpec on a singular matrix
         return Element(self.backend_id, payload)
@@ -512,7 +538,7 @@ def build_backend(spec: dict, enum_cap: int = DEFAULT_ENUM_CAP) -> GroupOracle:
     kind = spec.get("backend")
     exponent = spec.get("exponent")
     if exponent is not None and (not _is_int(exponent) or exponent < 1):
-        raise InvalidBackendSpec(f"exponent must be a positive integer, got {exponent!r}")
+        raise InvalidBackendSpec(f"exponent must be a positive integer, got {excerpt(exponent)}")
     if kind == "perm":
         degree = spec.get("degree")
         if not _is_int(degree):
@@ -543,7 +569,7 @@ def build_backend(spec: dict, enum_cap: int = DEFAULT_ENUM_CAP) -> GroupOracle:
         if not isinstance(fld, dict):
             raise InvalidBackendSpec("moebius 'field' must be an object with poly")
         return moebius_oracle(n, _field_poly(fld), exponent, enum_cap)
-    raise InvalidBackendSpec(f"unknown backend {kind!r}")
+    raise InvalidBackendSpec(f"unknown backend {excerpt(kind)}")
 
 
 def _is_int(value) -> bool:
@@ -562,7 +588,7 @@ def _field_poly(fld: dict) -> list[int] | None:
     """The field object's optional poly, checked to be a list of integers."""
     poly = fld.get("poly")
     if poly is not None and not (isinstance(poly, list) and all(_is_int(c) for c in poly)):
-        raise InvalidBackendSpec(f"field poly must be a list of integers, got {poly!r}")
+        raise InvalidBackendSpec(f"field poly must be a list of integers, got {excerpt(poly)}")
     return poly
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bbgroups.cli import dispatch
+from bbgroups.cli import build_parser, dispatch
 from bbgroups.oracle import MAX_DEGREE, build_backend
 
 S4 = {"backend": "perm", "degree": 4, "generators": [[[1, 2]], [[1, 2, 3, 4]]]}
@@ -270,6 +270,21 @@ def test_usage_errors_exit_2(capsys, s4_file):
     with pytest.raises(SystemExit) as exc:
         dispatch(["tricks", "--input", s4_file, "--op", "sqrt", "--i", "(1 2)"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["tricks", "--input", s4_file, "--op", "double", "--t", "(1 2)", "--r", "(2 3)"])
+    assert exc.value.code == 2
+
+
+def test_parser_built_once_keeps_no_request_state(capsys, s4_file):
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(capsys, ["enumerate", "--input", s4_file, "--elements"])
+    assert code == 0 and "elements" in json.loads(out)
+    code, out, _ = run_cli(capsys, ["enumerate", "--input", s4_file])
+    assert code == 0 and "elements" not in json.loads(out)
+    centralizer = ["centralizer", "--input", s4_file, "--involution", "(1 2)"]
+    default = run_cli(capsys, centralizer)[1]
+    assert run_cli(capsys, centralizer + ["--seed", "5"])[1] != default
+    assert run_cli(capsys, centralizer)[1] == default  # --seed 5 did not stick
 
 
 def test_missing_input_file_is_domain_error(capsys):
@@ -335,6 +350,35 @@ def test_malformed_input_is_an_error_object(capsys, tmp_path, spec, command):
     code, out, err = run_cli(capsys, command + ["--input", str(path)])
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["type"] == "InvalidBackendSpec"
+
+
+@pytest.mark.parametrize(
+    "spec, command",
+    [
+        pytest.param(SL2_3, ["order", "--element", "[" * 100_000], id="deep-nesting-element"),
+        pytest.param(S4, ["order", "--element", "(" + "1" * 100_000 + " 2)"], id="100000-digit-point"),
+        pytest.param(S4, ["order", "--element", "(1 2)" * 20_000 + " x"], id="long-trailing-text"),
+        pytest.param(
+            S4, ["order", "--element", "(" + " ".join(map(str, range(1, 20_000))) + " 1)"], id="long-repeated-element"
+        ),
+        pytest.param(
+            dict(S4, generators=[[list(range(1, 20_000)) + [1]]]), ["enumerate"], id="long-repeated-cycle"
+        ),
+        pytest.param(dict(S4, generators=[[["1"] * 20_000]]), ["enumerate"], id="long-string-cycle"),
+        pytest.param(dict(SL2_3, generators=[[list(range(20_000))]]), ["enumerate"], id="long-matrix-row"),
+        pytest.param(dict(SL2_3, generators=[[[1, 1], [0, "x" * 20_000]]]), ["enumerate"], id="long-matrix-entry"),
+        pytest.param(dict(SL2_3, field={"p": 3, "k": 1, "poly": ["x"] * 20_000}), ["enumerate"], id="long-poly"),
+        pytest.param(dict(S4, exponent="9" * 20_000), ["enumerate"], id="long-exponent"),
+        pytest.param(dict(S4, backend="x" * 20_000), ["enumerate"], id="long-backend"),
+    ],
+)
+def test_error_object_is_bounded_for_huge_input(capsys, tmp_path, spec, command):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, command + ["--input", str(path)])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "InvalidBackendSpec"
+    assert len(err.encode()) < 1000
 
 
 @pytest.mark.parametrize(
