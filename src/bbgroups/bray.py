@@ -45,10 +45,11 @@ def zeta(
     """Map x into the centralizer of the involution i."""
     exp = exp or oracle.exponent_data
     require_involution(oracle, i, "zeta base point")
-    z = oracle.mul(i, oracle.conjugate(i, x))
+    x_inv = oracle.inv(x)  # once, for i^x and for the odd branch
+    z = oracle.mul(i, oracle.mul(oracle.mul(x_inv, i), x))
     y, y2 = odd_root(oracle, z, exp)
     if y2 == z:
-        value = oracle.mul(y, oracle.inv(x))
+        value = oracle.mul(y, x_inv)
         branch = "odd"
     else:
         value = squaring_chain(oracle, oracle.mul(y2, oracle.inv(z)), exp)

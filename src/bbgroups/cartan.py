@@ -18,6 +18,7 @@ and binary64 need different error contracts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,7 @@ def spd_sqrt(a, tol: float = SQRT_TOL, max_iter: int = 100) -> np.ndarray:
     norm_a = max(float(np.linalg.norm(m)), 1e-300)
     y = m.copy()
     z = np.eye(n)
+    prev = math.inf
     for _ in range(max_iter):
         sy, ldy = np.linalg.slogdet(y)
         sz, ldz = np.linalg.slogdet(z)
@@ -143,8 +145,12 @@ def spd_sqrt(a, tol: float = SQRT_TOL, max_iter: int = 100) -> np.ndarray:
         z_next = 0.5 * (g * z + np.linalg.inv(g * y))
         delta = float(np.linalg.norm(y_next - y)) / max(1.0, float(np.linalg.norm(y_next)))
         y, z = y_next, z_next
-        if delta < 1e-13:
+        # Converged steps shrink delta quadratically.  Once they stop, delta
+        # sits at the rounding floor, which for cond ~1e4 lies above 1e-13:
+        # a delta under 1e-8 that no longer halves is that floor.
+        if delta < 1e-13 or (delta < 1e-8 and delta > prev / 2):
             break
+        prev = delta
     else:
         raise ConvergenceFailure(f"square root did not converge in {max_iter} iterations")
     # Newton corrections against the original input until the residual settles

@@ -8,7 +8,16 @@ exit code 2.
 
 import reprlib
 
-_EXCERPT = reprlib.Repr()
+
+class _Excerpt(reprlib.Repr):
+    def repr_int(self, x: int, level: int) -> str:
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # more digits than the interpreter turns into text
+            return f"<int of {x.bit_length()} bits>"
+
+
+_EXCERPT = _Excerpt()
 _EXCERPT.maxstring = _EXCERPT.maxother = 160
 _EXCERPT.maxlist = _EXCERPT.maxtuple = 12
 _EXCERPT.maxlevel = 3

@@ -47,24 +47,20 @@ class Element(NamedTuple):
     payload: tuple
 
 
+_new_element = tuple.__new__
+
+
 class MultCounter:
     """Running count of multiplication-oracle invocations.
 
     Single-owner, like a sampling cell: an oracle and its counter belong to
-    one thread, so the update is a plain increment.
+    one thread, so GroupOracle.mul bumps total in place.
     """
 
-    __slots__ = ("_total",)
+    __slots__ = ("total",)
 
     def __init__(self) -> None:
-        self._total = 0
-
-    def add(self, n: int = 1) -> None:
-        self._total += n
-
-    @property
-    def total(self) -> int:
-        return self._total
+        self.total = 0
 
 
 class GroupOracle:
@@ -103,19 +99,25 @@ class GroupOracle:
     def identity(self) -> Element:
         return self._identity
 
+    # mul and inv run for every step of every algorithm: each reads
+    # backend_id once and builds its Element with tuple.__new__, which skips
+    # the NamedTuple constructor's argument handling.
+
     def mul(self, a: Element, b: Element) -> Element:
         """Product a*b ("apply a, then b"); counts one oracle invocation."""
-        if a.backend_id != self.backend_id or b.backend_id != self.backend_id:
+        bid = self.backend_id
+        if a.backend_id != bid or b.backend_id != bid:
             raise BackendMismatch(
-                f"cannot combine elements of {a.backend_id!r} / {b.backend_id!r} in {self.backend_id!r}"
+                f"cannot combine elements of {a.backend_id!r} / {b.backend_id!r} in {bid!r}"
             )
-        self.mult_counter.add()
-        return Element(self.backend_id, self._mul_payload(a.payload, b.payload))
+        self.mult_counter.total += 1
+        return _new_element(Element, (bid, self._mul_payload(a.payload, b.payload)))
 
     def inv(self, a: Element) -> Element:
-        if a.backend_id != self.backend_id:
-            raise BackendMismatch(f"element of {a.backend_id!r} in {self.backend_id!r}")
-        return Element(self.backend_id, self._inv_payload(a.payload))
+        bid = self.backend_id
+        if a.backend_id != bid:
+            raise BackendMismatch(f"element of {a.backend_id!r} in {bid!r}")
+        return _new_element(Element, (bid, self._inv_payload(a.payload)))
 
     def is_identity(self, a: Element) -> bool:
         if a.backend_id != self.backend_id:

@@ -23,17 +23,17 @@ from .errors import (
 from .oracle import DEFAULT_ENUM_CAP, Element, GroupOracle
 from .powertools import ExponentData, odd_root
 from .subgroups import (
+    _class_walks,
     _conjugated,
+    _set_orbit,
+    _stabilizer,
     centralizer,
     closure,
-    conjugate_orbit,
     conjugation_classes,
-    involution_classes,
     involutions,
     is_elementary_abelian_2,
     is_three_transitive,
     is_ti_orbit,
-    normalizer_of_set,
     require_involution,
     sylow2,
 )
@@ -126,9 +126,11 @@ def ti_subgroup(
         raise HypothesisViolation("member list is not closed under multiplication")
     if not is_elementary_abelian_2(oracle, members):
         raise HypothesisViolation("subgroup is not elementary abelian of exponent 2")
-    if not is_ti_orbit(conjugate_orbit(oracle, members)[0]):
+    # one walk of U's conjugate orbit serves the TI test and N_X(U)
+    walk = _set_orbit(oracle, members)
+    if not is_ti_orbit(walk.keys):
         raise HypothesisViolation("TI property fails: U meets a conjugate properly")
-    norm = normalizer_of_set(oracle, members, cap)
+    norm = _stabilizer(oracle, walk, cap)
     non_id = [a for a in members if not oracle.is_identity(a)]
     if len(conjugation_classes(oracle, non_id, norm)) > 1:
         raise HypothesisViolation(
@@ -200,7 +202,8 @@ def sylow2_normalizer_generators(
                 except EvenOrderInput:
                     continue
                 # conjugation is injective, so into T means onto T
-                if not all(c.payload in t_payloads for c in _conjugated(oracle, sylow_members, b)):
+                images = _conjugated(oracle, sylow_members, b, oracle.inv(b))
+                if not all(c.payload in t_payloads for c in images):
                     raise VerificationFailed(
                         "double-conjugation element does not normalize T"
                     )
@@ -252,22 +255,20 @@ def burnside_audit(
     ignored.
     """
     order = len(oracle.enumerate(cap))
-    # C(t^g) = C(t)^g: one centralizer per class decides the hypothesis and
-    # every centralizer order.
-    classes = involution_classes(oracle, cap)
-    cent_orders = []
-    hypothesis = True
-    for cls in classes:
-        cent = centralizer(oracle, cls[0], cap)
-        cent_orders.append(len(cent))
-        if hypothesis and not is_elementary_abelian_2(oracle, cent):
-            hypothesis = False
+    # C(t^g) = C(t)^g: one centralizer per class decides the hypothesis, and
+    # each class's walk gives the class, |C(t)| = |G| / |class|, and C(t).
+    walks = _class_walks(oracle, involutions(oracle, cap))
+    classes = [sorted(w.points) for w in walks]
+    cent_orders = [order // len(w.points) for w in walks]
+    hypothesis = all(is_elementary_abelian_2(oracle, _stabilizer(oracle, w, cap)) for w in walks)
     sylow = sylow2(oracle, cap=cap)
     sylow_order = len(sylow)
     n = sylow_order.bit_length() - 1
     n_hint_mismatch = n_hint is not None and n_hint != n
     sylow_payloads = {a.payload for a in sylow}
-    norm = normalizer_of_set(oracle, sylow, cap)
+    # The walk of the Sylow's conjugate orbit gives N = N_G(S) as the point
+    # stabilizer, normality as a one-point orbit, and G's action on the orbit.
+    sylow_walk = _set_orbit(oracle, sylow)
     report = BurnsideReport(
         group_order=order,
         hypothesis_holds=hypothesis,
@@ -278,7 +279,7 @@ def burnside_audit(
         centralizer_orders=sorted(set(cent_orders)),
         n=n,
         sylow_order=sylow_order,
-        sylow_normal=len(norm) == order,
+        sylow_normal=len(sylow_walk.points) == 1,
         n_hint_mismatch=n_hint_mismatch,
     )
     if not hypothesis:
@@ -290,8 +291,9 @@ def burnside_audit(
         # impossible under the hypothesis: multiple classes force a normal Sylow
         return report
     report.branch = "single_class"
-    sylows, images = conjugate_orbit(oracle, sylow)
+    sylows = sylow_walk.keys
     report.sylow_ti = is_ti_orbit(sylows)
+    norm = _stabilizer(oracle, sylow_walk, cap)
     report.normalizer_order = len(norm)
     report.mu = len(norm) // sylow_order if len(norm) % sylow_order == 0 else None
     # S lies in the elementary abelian C(t) of a central involution t, so its
@@ -307,5 +309,5 @@ def burnside_audit(
     if report.order_formula_holds:
         # S^g -> N*g is a G-equivariant bijection onto the cosets N\G
         npoints = len(sylows)
-        report.three_transitive = npoints == 2**n + 1 and is_three_transitive(images, npoints)
+        report.three_transitive = npoints == 2**n + 1 and is_three_transitive(sylow_walk.images, npoints)
     return report

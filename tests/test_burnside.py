@@ -1,34 +1,42 @@
 """The exhaustive layer against full-scan references.
 
-burnside_audit scans one centralizer per involution class and acts on the
-conjugate orbit of one Sylow 2-subgroup, normalizer_of_set stops each g at
-the first member it moves out of the set, all_sylow2 and the TI test of
-ti_subgroup use the conjugate orbit, and the exact exponent walks each cyclic
-subgroup once.  The references below scan everything, so the answers must
-agree exactly; the mul gates pin the savings.
+Conjugacy classes are orbit walks under the generators, and centralizers
+and normalizers are point stabilizers built from Schreier generators.
+burnside_audit takes each involution class and its centralizer from one
+walk, and N_G(S), normality and the action on the Sylows from one walk of
+the Sylow's conjugate orbit; all_sylow2 and ti_subgroup walk the conjugate
+orbit too, and the exact exponent walks each cyclic subgroup once.  The
+references below scan everything, so the answers must agree exactly; the
+mul gates pin the savings.
 """
 
 import dataclasses
 import math
+import re
 
 import pytest
 
 from bbgroups import (
+    DEFAULT_ENUM_CAP,
     BurnsideReport,
+    Element,
     PermOracle,
     burnside_audit,
     element_order,
     moebius_oracle,
     ti_subgroup,
 )
-from bbgroups.errors import HypothesisViolation
+from bbgroups.errors import EnumerationCapExceeded, HypothesisViolation, VerificationFailed
 from bbgroups.subgroups import (
+    _element_orbit,
+    _stabilizer,
     all_sylow2,
     centralizer,
     closure,
     conjugacy_class,
     conjugate_orbit,
     conjugation_classes,
+    involution_classes,
     involutions,
     is_elementary_abelian_2,
     is_three_transitive,
@@ -67,6 +75,24 @@ def reference_normalizer(oracle, members):
     return [g for g in oracle.enumerate() if conjugates(oracle, members, g) == target]
 
 
+def reference_centralizer(oracle, a):
+    return [g for g in oracle.enumerate() if oracle.commutes(g, a)]
+
+
+def reference_class(oracle, a):
+    payloads = {oracle.conjugate(a, g).payload for g in oracle.enumerate()}
+    return [Element(oracle.backend_id, p) for p in sorted(payloads)]
+
+
+def reference_classes(oracle, members):
+    """members split by full-scan classes, each sorted, ordered by least member."""
+    classes = []
+    for a in sorted(members):
+        if not any(a in cls for cls in classes):
+            classes.append(reference_class(oracle, a))
+    return classes
+
+
 def reference_all_sylow2(oracle):
     base = sylow2(oracle)
     return sorted({frozenset(conjugates(oracle, base, g)) for g in oracle.enumerate()}, key=sorted)
@@ -99,12 +125,9 @@ def reference_audit(oracle, n_hint=None):
     elems = oracle.enumerate()
     order = len(elems)
     invs = involutions(oracle)
-    cents = [centralizer(oracle, t) for t in invs]
+    cents = [reference_centralizer(oracle, t) for t in invs]
     hypothesis = all(is_elementary_abelian_2(oracle, c) for c in cents)
-    classes = []
-    for t in invs:
-        if not any(t.payload in cls for cls in classes):
-            classes.append({a.payload for a in conjugacy_class(oracle, t)})
+    classes = reference_classes(oracle, invs)
     sylow = sylow2(oracle)
     n = len(sylow).bit_length() - 1
     sylow_payloads = {a.payload for a in sylow}
@@ -139,7 +162,7 @@ def reference_audit(oracle, n_hint=None):
     report.normalizer_order = len(norm)
     report.mu = len(norm) // len(sylow) if len(norm) % len(sylow) == 0 else None
     report.fusion_controlled = all(
-        {c.payload for c in conjugacy_class(oracle, a)} & sylow_payloads
+        {c.payload for c in reference_class(oracle, a)} & sylow_payloads
         == {oracle.conjugate(a, k).payload for k in norm}
         for a in sylow
     )
@@ -244,7 +267,8 @@ def test_ti_subgroup_mul_budget_sl2_8():
     sylow = sylow2(oracle)
     before = oracle.mult_counter.total
     ti_subgroup(oracle, sylow)
-    assert oracle.mult_counter.total - before <= 3_000  # a conjugation by each g in G: 9,929
+    # a conjugation by each g in G: 9,929; a scan of G for N(U): 2,243
+    assert oracle.mult_counter.total - before <= 1_200
 
 
 def test_audit_mul_budget_moebius3():
@@ -253,8 +277,9 @@ def test_audit_mul_budget_moebius3():
     before = oracle.mult_counter.total
     report = burnside_audit(oracle, n_hint=3)
     assert report.branch == "single_class" and report.three_transitive
-    # a scan per involution: 96,718; the coset action and a fusion loop: 6,275
-    assert oracle.mult_counter.total - before <= 5_300
+    # a scan per involution: 96,718; the coset action and a fusion loop:
+    # 6,275; a scan of G per centralizer, class and normalizer: 4,823
+    assert oracle.mult_counter.total - before <= 2_000
 
 
 def test_exact_exponent_mul_budget_moebius3():
@@ -268,7 +293,8 @@ def test_audit_moebius4():
     oracle.enumerate()
     before = oracle.mult_counter.total
     report = burnside_audit(oracle, n_hint=4)
-    assert oracle.mult_counter.total - before <= 40_000  # the coset action and a fusion loop: 49,449
+    # the coset action and a fusion loop: 49,449; scans of G: 37,772
+    assert oracle.mult_counter.total - before <= 10_000
     assert dataclasses.asdict(report) == dict(
         group_order=4080,
         hypothesis_holds=True,
@@ -288,3 +314,99 @@ def test_audit_moebius4():
         order_formula_holds=True,
         three_transitive=True,
     )
+
+
+# --- orbit walks and Schreier stabilizers against full scans -----------------
+
+ORBIT_GROUPS = ["S4", "D8", "A5", "SL2(3)", "moebius(3)", "SL2(8)"]
+
+
+@pytest.mark.parametrize("name", ORBIT_GROUPS)
+def test_classes_and_centralizers_match_full_scan(name):
+    oracle = GROUPS[name]()
+    classes = reference_classes(oracle, oracle.enumerate())
+    for cls in classes:
+        for a in (cls[0], cls[-1]):
+            assert conjugacy_class(oracle, a) == cls
+            cent = centralizer(oracle, a)
+            assert cent == reference_centralizer(oracle, a)
+            assert len(cent) * len(cls) == oracle.order()
+    assert involution_classes(oracle) == reference_classes(oracle, involutions(oracle))
+
+
+@pytest.mark.parametrize("name", ORBIT_GROUPS)
+def test_normalizers_match_full_scan(name):
+    oracle = GROUPS[name]()
+    elems = oracle.enumerate()
+    ident = oracle.identity()
+    invs = involutions(oracle)
+    sets = [
+        sylow2(oracle),
+        closure(oracle, invs[:1]),
+        list(oracle.generators),  # not a subgroup
+        invs[1:4],  # not a subgroup, no identity
+        [ident] + elems[-5:],
+        [ident],
+        [],
+    ]
+    for members in sets:
+        assert normalizer_of_set(oracle, members) == reference_normalizer(oracle, members)
+
+
+def test_elements_outside_the_group():
+    # GL2(3) matrices of determinant 2, acted on by conjugation with SL2(3)
+    oracle = make_sl2_3()
+    outside = [oracle.parse_element(m) for m in ("[[2, 0], [0, 1]]", "[[0, 1], [1, 0]]", "[[1, 1], [0, 2]]")]
+    for a in outside:
+        assert a not in oracle.enumerate()
+        assert conjugacy_class(oracle, a) == reference_class(oracle, a)
+        assert centralizer(oracle, a) == reference_centralizer(oracle, a)
+    members = outside + oracle.enumerate()[:3]
+    assert normalizer_of_set(oracle, members) == reference_normalizer(oracle, members)
+
+
+def test_stabilizers_respect_the_enumeration_cap():
+    oracle = moebius_oracle(4, exponent=510)  # order 4080, not yet enumerated
+    a = oracle.generators[0]
+    with pytest.raises(EnumerationCapExceeded):
+        centralizer(oracle, a, cap=1_000)
+    with pytest.raises(EnumerationCapExceeded):
+        normalizer_of_set(oracle, [a], cap=1_000)
+    with pytest.raises(EnumerationCapExceeded):
+        conjugacy_class(oracle, a, cap=1_000)
+
+
+def test_closure_stops_at_known_order():
+    # the Sylow 2-subgroup of SL2(8) is elementary abelian of order 8
+    oracle = make_sl2_8()
+    sylow = sylow2(oracle)
+    basis = []
+    for a in sylow:
+        if a not in closure(oracle, basis):
+            basis.append(a)
+    assert len(basis) == 3
+
+    def generators():
+        yield from basis
+        raise AssertionError("drawn past the known order")
+
+    assert closure(oracle, generators(), order=8) == sylow
+
+
+def test_stabilizer_short_of_its_order_is_refused():
+    # without Schreier generators the closure stops at the identity, short of
+    # |G| / |orbit|: that must raise, never come back as a smaller subgroup
+    oracle = make_sl2_8()
+    oracle.enumerate()
+    walk = _element_orbit(oracle, involutions(oracle)[0])
+    assert len(_stabilizer(oracle, walk, DEFAULT_ENUM_CAP)) == 8
+    with pytest.raises(VerificationFailed, match=re.escape("not |G| / |orbit| = 8")):
+        _stabilizer(oracle, walk._replace(edges=[]), DEFAULT_ENUM_CAP)
+
+
+def test_centralizer_mul_budget_sl2_8():
+    oracle = make_sl2_8()
+    i = involutions(oracle)[0]
+    before = oracle.mult_counter.total
+    assert len(centralizer(oracle, i)) == 8
+    assert oracle.mult_counter.total - before <= 500  # a commuting test per g in G: 1,008

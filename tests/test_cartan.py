@@ -173,6 +173,59 @@ def test_polar_random_residuals():
             assert is_spd(p, 1e-10)
 
 
+# cond 3.0e4: once converged, the Newton step's delta settles at 3-8e-13,
+# above the 1e-13 the iteration used to wait for.
+STALLED = [
+    [1.3025430725670177, 0.7753699348235243, 0.8801494878626452],
+    [0.9006805365032178, 1.4071105762896232, -0.7123348485098042],
+    [0.8593754105315994, -0.8806556047532497, 2.69287530093989],
+]
+
+
+def test_polar_converges_where_delta_stalls_above_1e_13():
+    x = np.array(STALLED)
+    z, p = polar_decompose(x)
+    assert np.linalg.norm(z.T @ z - np.eye(3)) <= 1e-15
+    assert np.linalg.norm(z @ p - x) <= 2e-11 * np.linalg.norm(x)
+    assert is_spd(p, 1e-10)
+
+
+def delta_below_1e_13_sqrt(m):
+    """spd_sqrt with the stopping rule delta < 1e-13 only, corrections as in
+    the library: where that rule converges, spd_sqrt must agree bit for bit."""
+    n = m.shape[0]
+    y, z = m.copy(), np.eye(n)
+    for _ in range(100):
+        g = float(np.exp(-(np.linalg.slogdet(y)[1] + np.linalg.slogdet(z)[1]) / (2 * n)))
+        y_next = 0.5 * (g * y + np.linalg.inv(g * z))
+        z = 0.5 * (g * z + np.linalg.inv(g * y))
+        delta = float(np.linalg.norm(y_next - y)) / max(1.0, float(np.linalg.norm(y_next)))
+        y = y_next
+        if delta < 1e-13:
+            break
+    y = 0.5 * (y + y.T)
+    best, best_res = y, float(np.linalg.norm(y @ y - m))
+    for _ in range(4):
+        if best_res <= 1e-12 * float(np.linalg.norm(m)):
+            break
+        y = 0.5 * (y + np.linalg.solve(y, m))
+        y = 0.5 * (y + y.T)
+        res = float(np.linalg.norm(y @ y - m))
+        if res >= best_res:
+            break
+        best, best_res = y, res
+    return best
+
+
+def test_spd_sqrt_unchanged_where_delta_reaches_1e_13():
+    # the polar inputs of the cli_audit benchmark: uniform(-1, 1) + 2I, 3x3
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        x = rng.uniform(-1.0, 1.0, (3, 3)) + 2.0 * np.eye(3)
+        a = x.T @ x
+        assert spd_sqrt(a).tobytes() == delta_below_1e_13_sqrt(a).tobytes()
+
+
 def test_polar_rejects_singular():
     with pytest.raises(IllConditioned):
         polar_decompose(np.array([[1.0, 1.0], [1.0, 1.0]]))

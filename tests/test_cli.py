@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from bbgroups.cli import build_parser, dispatch
-from bbgroups.oracle import MAX_DEGREE, build_backend
+from bbgroups.oracle import MAX_DEGREE, GroupOracle, build_backend
+
+from test_same_answers import CASES, ELEMENTS, SPECS, requests
 
 S4 = {"backend": "perm", "degree": 4, "generators": [[[1, 2]], [[1, 2, 3, 4]]]}
 SL2_3 = {"backend": "matrix", "dim": 2, "field": {"p": 3, "k": 1}, "generators": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]}
@@ -469,3 +471,26 @@ def test_report_matrix_notation(capsys, sl2_3_file):
     texts = [report["involution"], *report["zeta1_counts"], *_element_texts(report["involution_classes"])]
     for text in texts:
         assert text.startswith("[[") and sl2_3.element_str(sl2_3.parse_element(text)) == text
+
+
+def test_mult_count_is_the_number_of_mul_calls(capsys, tmp_path, monkeypatch):
+    # A tracer wraps GroupOracle.mul on the class and counts its calls; each
+    # counted product must be one such call, so the counts agree.
+    calls = [0]
+    mul = GroupOracle.mul
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(GroupOracle, "mul", counted)
+    path = tmp_path / "spec.json"
+    reports = 0
+    for group, name in CASES:
+        path.write_text(json.dumps(SPECS[group]))
+        calls[0] = 0
+        code, out, _ = run_cli(capsys, requests(ELEMENTS[group])[name] + ["--input", str(path)])
+        if code == 0:
+            assert json.loads(out)["mult_count"] == calls[0], (group, name)
+            reports += 1
+    assert reports > 60

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbgroups import (
+    Element,
     FieldSpec,
     MatrixOracle,
     PermOracle,
@@ -272,6 +273,26 @@ def test_mult_counter_counts_only_mul(s3):
     assert s3.mult_counter.total == before
     s3.mul(a, a)
     assert s3.mult_counter.total == before + 1
+
+
+def test_mul_results_are_elements(s3, sl2_3):
+    for oracle in (s3, sl2_3):
+        a = oracle.generators[0]
+        for b in (oracle.mul(a, a), oracle.inv(a)):
+            assert type(b) is Element and b.backend_id == oracle.backend_id
+            assert b == Element(oracle.backend_id, b.payload)
+
+
+@pytest.mark.parametrize(
+    "cycles",
+    [[[1, 10**5000]], [[1, -(10**5000)]], [[1, 2], [3, 10**4400]]],
+    ids=["5001-digits", "negative", "second-cycle"],
+)
+def test_point_past_the_int_text_limit_is_invalid_spec(cycles):
+    # repr of an int of more than 4,300 digits raises ValueError; the
+    # message names the integer by its size instead
+    with pytest.raises(InvalidBackendSpec, match=r"point <int of \d+ bits> outside 1\.\.4"):
+        cycles_to_images(4, cycles)
 
 
 _S4_SHARED = make_s4()
