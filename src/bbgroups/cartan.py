@@ -13,15 +13,16 @@ discrete path of orthogonal matrices obtained by polar-projecting a
 nonsingular interpolation.
 
 The two sides deliberately stay separate operations: exact group arithmetic
-and binary64 need different error contracts.
+and binary64 need different error contracts.  Only the real-matrix side
+uses numpy, so each of its functions imports it on call: importing
+bbgroups does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     ConvergenceFailure,
@@ -35,6 +36,9 @@ from .errors import (
 from .oracle import DEFAULT_ENUM_CAP, Element, GroupOracle
 from .powertools import ExponentData, odd_root
 from .subgroups import conjugacy_class, require_involution, sylow2
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SQRT_TOL = 1e-12
 ORTH_TOL = 1e-10
@@ -95,6 +99,7 @@ def isolated_zeta(
 
 
 def _as_square(a) -> np.ndarray:
+    import numpy as np
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise IllConditioned(f"expected a square matrix, got shape {m.shape}")
@@ -104,6 +109,7 @@ def _as_square(a) -> np.ndarray:
 
 
 def is_symmetric(a, tol: float = SQRT_TOL) -> bool:
+    import numpy as np
     m = _as_square(a)
     scale = max(1.0, float(np.linalg.norm(m)))
     return float(np.linalg.norm(m - m.T)) <= tol * scale
@@ -111,6 +117,7 @@ def is_symmetric(a, tol: float = SQRT_TOL) -> bool:
 
 def is_spd(a, tol: float = SQRT_TOL) -> bool:
     """Symmetric within tol and all eigenvalue estimates strictly positive."""
+    import numpy as np
     m = _as_square(a)
     if not is_symmetric(m, tol):
         return False
@@ -118,6 +125,7 @@ def is_spd(a, tol: float = SQRT_TOL) -> bool:
     return bool(np.all(eigs > 0.0))
 
 def is_orthogonal(a, tol: float = ORTH_TOL) -> bool:
+    import numpy as np
     m = _as_square(a)
     return float(np.linalg.norm(m.T @ m - np.eye(m.shape[0]))) <= tol
 
@@ -127,6 +135,7 @@ def spd_sqrt(a, tol: float = SQRT_TOL, max_iter: int = 100) -> np.ndarray:
     determinant scaling (Y -> sqrt(A), Z -> 1/sqrt(A)); quadratically
     convergent, finished with one correction step against the original A.
     """
+    import numpy as np
     m = _as_square(a)
     n = m.shape[0]
     if not is_spd(m, max(tol, SQRT_TOL)):
@@ -173,6 +182,7 @@ def spd_sqrt(a, tol: float = SQRT_TOL, max_iter: int = 100) -> np.ndarray:
 
 def polar_decompose(x, tol: float = ORTH_TOL) -> tuple[np.ndarray, np.ndarray]:
     """x = z * p with z orthogonal and p = spd_sqrt(x^T x)."""
+    import numpy as np
     m = _as_square(x)
     cond = float(np.linalg.cond(m))
     if not np.isfinite(cond) or cond >= COND_LIMIT:
@@ -184,15 +194,22 @@ def polar_decompose(x, tol: float = ORTH_TOL) -> tuple[np.ndarray, np.ndarray]:
         if float(np.linalg.norm(z.T @ z - eye)) <= tol / 16:
             break
         z = 0.5 * (z + np.linalg.inv(z).T)
-    northo = float(np.linalg.norm(z.T @ z - eye))
-    norm_x = max(float(np.linalg.norm(m)), 1e-300)
-    if northo > tol or float(np.linalg.norm(z @ p - m)) > tol * norm_x:
+    if max(polar_residuals(m, z, p)) > tol:
         raise ConvergenceFailure("polar residuals above tolerance")
     return z, p
 
 
+def polar_residuals(x: np.ndarray, z: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+    """Orthogonality residual |z^T z - I| and reconstruction residual
+    |z p - x| / |x| (Frobenius norms) of a polar pair of the square array x."""
+    import numpy as np
+    orthogonality = float(np.linalg.norm(z.T @ z - np.eye(x.shape[0])))
+    return orthogonality, float(np.linalg.norm(z @ p - x) / max(np.linalg.norm(x), 1e-300))
+
+
 def cartan_zeta(x, tol: float = ORTH_TOL) -> np.ndarray:
     """The orthogonal factor via z = x * sqrt(x^-1 * (x^-1)^T)."""
+    import numpy as np
     m = _as_square(x)
     cond = float(np.linalg.cond(m))
     if not np.isfinite(cond) or cond >= COND_LIMIT:
@@ -209,6 +226,7 @@ def cartan_zeta(x, tol: float = ORTH_TOL) -> np.ndarray:
 
 
 def _pinned_skew(n: int, index: int) -> np.ndarray:
+    import numpy as np
     rng = np.random.default_rng(0xC0DEC + index)
     k = rng.standard_normal((n, n))
     w = k - k.T
@@ -227,6 +245,7 @@ def connectedness_path(x, steps: int, tol: float = ORTH_TOL) -> list[np.ndarray]
     Consecutive path entries differ by at most 2*pi*n/steps in Frobenius
     norm.
     """
+    import numpy as np
     m = _as_square(x)
     n = m.shape[0]
     if steps < 1:

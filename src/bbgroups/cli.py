@@ -13,10 +13,8 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from .bray import centralizer_closure_check, centralizer_sample, zeta_distribution_audit
-from .cartan import _as_square, connectedness_path, polar_decompose
+from .cartan import _as_square, connectedness_path, polar_decompose, polar_residuals
 from .errors import GroupError
 from .oracle import DEFAULT_ENUM_CAP, Element, GroupOracle, load_group_spec
 from .powertools import element_order, extract_involution
@@ -120,7 +118,7 @@ def _cmd_burnside(args: argparse.Namespace) -> dict:
     return _report(oracle, burnside_audit(oracle, args.n_hint, args.cap))
 
 
-def _matrix_to_lists(m: np.ndarray) -> list[list[float]]:
+def _matrix_to_lists(m) -> list[list[float]]:
     return [[float(x) for x in row] for row in m]
 
 
@@ -136,13 +134,9 @@ def _cmd_polar(args: argparse.Namespace) -> dict:
         report["steps"] = args.steps
         return report
     z, p = polar_decompose(x, args.tol)
-    n = x.shape[0]
     report["z"] = _matrix_to_lists(z)
     report["p"] = _matrix_to_lists(p)
-    report["orthogonality_residual"] = float(np.linalg.norm(z.T @ z - np.eye(n)))
-    report["reconstruction_residual"] = float(
-        np.linalg.norm(z @ p - x) / max(np.linalg.norm(x), 1e-300)
-    )
+    report["orthogonality_residual"], report["reconstruction_residual"] = polar_residuals(x, z, p)
     return report
 
 

@@ -311,6 +311,50 @@ def test_console_entry_point(tmp_path):
     assert json.loads(proc.stdout)["order"] == 6
 
 
+PUBLIC_NAMES = """
+BurnsideReport ClosureReport DEFAULT_ENUM_CAP Element ExponentData FieldSpec GroupError
+GroupOracle IsolationCertificate MatrixOracle PermOracle ReplacementCell TISubgroup
+ZetaDistributionReport ZetaOutcome build_backend burnside_audit cartan_zeta
+centralizer_closure_check centralizer_sample conjugate_by_sqrt connectedness_path
+double_conjugation draw element_order extract_involution has_odd_order is_orthogonal is_spd
+is_symmetric isolated_zeta load_group_spec moebius_oracle normalizer_map polar_decompose power
+seed_cell spd_sqrt split_exponent sqrt_odd strongly_isolated_check sylow2_normalizer_generators
+ti_subgroup zeta zeta_distribution_audit
+""".split()
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import bbgroups, bbgroups.cli
+out = {"all": bbgroups.__all__, "unresolved": [n for n in bbgroups.__all__ if not hasattr(bbgroups, n)]}
+with contextlib.redirect_stdout(io.StringIO()):
+    out["order_code"] = bbgroups.cli.dispatch(["order", "--input", sys.argv[1], "--element", "(1 2 3)"])
+out["numpy_after_order"] = "numpy" in sys.modules
+out["cartan_after_order"] = "bbgroups.cartan" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()) as polar:
+    out["polar_code"] = bbgroups.cli.dispatch(["polar", "--matrix", "[[2, 1], [0, 1]]"])
+out["polar_residual"] = json.loads(polar.getvalue())["orthogonality_residual"]
+out["numpy_after_polar"] = "numpy" in sys.modules
+print(json.dumps(out))
+"""
+
+
+def test_numpy_is_loaded_only_by_real_matrix_requests(s4_file):
+    """A fresh process runs group requests without importing numpy; the
+    benchmark's tracer still finds bbgroups.cartan in sys.modules."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, s4_file], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["all"] == PUBLIC_NAMES and out["unresolved"] == []
+    assert out["order_code"] == 0
+    assert out["numpy_after_order"] is False and out["cartan_after_order"] is True
+    assert out["polar_code"] == 0 and out["polar_residual"] < 1e-10
+    assert out["numpy_after_polar"] is True
+
+
 @pytest.mark.parametrize(
     "spec, command",
     [

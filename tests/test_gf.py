@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,7 +48,16 @@ def test_table_limit():
 
 @pytest.mark.parametrize(
     "p,k,poly",
-    [(2, 1, None), (5, 1, None), (2, 4, None), (3, 2, [1, 0, 1]), (2, 7, [1, 1, 0, 0, 0, 0, 0, 1])],
+    [
+        (2, 1, None),
+        (5, 1, None),
+        (2, 4, None),
+        (3, 2, [1, 0, 1]),
+        (2, 7, [1, 1, 0, 0, 0, 0, 0, 1]),
+        (2, 2, None),
+        (2, 3, None),
+        (2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1]),  # x^8 + x^4 + x^3 + x^2 + 1
+    ],
 )
 def test_full_tables_match_polynomial_arithmetic(p, k, poly):
     f = FieldSpec(p, k, poly)
@@ -56,6 +67,30 @@ def test_full_tables_match_polynomial_arithmetic(p, k, poly):
         [f.from_coeffs([x + y for x, y in zip(f.coeffs(a), f.coeffs(b))]) for b in range(q)]
         for a in range(q)
     ]
+    assert [[f.add(a, b) for b in range(q)] for a in range(q)] == f._add_table
+
+
+@pytest.mark.parametrize(
+    "p,k,poly",
+    [
+        (2, 9, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1]),  # x^9 + x^4 + 1
+        (2, 10, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]),  # x^10 + x^3 + 1
+        (3, 6, [2, 1, 0, 0, 0, 0, 1]),  # x^6 + x + 2
+        (17, 2, [3, 0, 1]),  # x^2 + 3
+    ],
+)
+def test_add_sub_neg_past_the_tables_match_coefficient_sums(p, k, poly):
+    f = FieldSpec(p, k, poly)
+    q = f.q
+    assert f._add_table is None
+    rng = random.Random(q)
+    pairs = [(0, 0), (0, q - 1), (q - 1, 1), (q - 1, q - 1)]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)]
+    for a, b in pairs:
+        ca, cb = f.coeffs(a), f.coeffs(b)
+        assert f.add(a, b) == f.from_coeffs([x + y for x, y in zip(ca, cb)])
+        assert f.sub(a, b) == f.from_coeffs([x - y for x, y in zip(ca, cb)])
+        assert f.neg(a) == f.from_coeffs([-x for x in ca])
 
 
 @pytest.mark.parametrize(
